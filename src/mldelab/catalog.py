@@ -488,7 +488,7 @@ class CatalogEntry:
 
 
 def _px(*cs) -> tuple[Fraction, ...]:
-    return tuple(rat(c) if not isinstance(c, str) else rat(c) for c in cs)
+    return tuple(rat(c) for c in cs)
 
 
 _RAW_ENTRIES: list[CatalogEntry] = []

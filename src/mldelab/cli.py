@@ -4,8 +4,8 @@ Subcommands expose each library module with deterministic JSON output
 (rationals as "p/q" strings, keys sorted) or a terse table rendering, and
 ``reproduce`` runs the full verification battery in one shot.
 
-Exit codes: 0 success, 2 verification failure, 3 usage error,
-4 insufficient order.
+Exit codes: 0 success, 2 verification failure or no such solution,
+3 usage error, 4 insufficient order.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog, characters, classify, forms, relations
-from .mlde import (NotIndicialRoot, Resonance, build_flat, frobenius_solve,
-                   frobenius_solve_log, indicial)
+from .mlde import (InconsistentResonance, NoLogNeeded, NotIndicialRoot, Resonance,
+                   build_flat, frobenius_solve, frobenius_solve_log, indicial)
 from .series import InsufficientOrder, Q, rat, rat_str, series_from_json_dict
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def cmd_solve(args) -> int:
             sol = frobenius_solve_log(op, args.alpha, args.order)
         else:
             sol = frobenius_solve(op, args.alpha, args.order)
-    except (NotIndicialRoot, Resonance) as exc:
+    except (NotIndicialRoot, Resonance, NoLogNeeded, InconsistentResonance) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     payload = {
@@ -131,6 +131,8 @@ def cmd_classify(args) -> int:
         payload = {"final": [rat_str(v) for v in final]}
         _emit(payload, args.format, [_set_notation(final)])
         return EXIT_OK
+    if args.depth is not None and args.depth < 1:
+        raise UsageError(f"--depth must be a positive integer, got {args.depth}")
     case = classify.CASES[args.case]
     report = classify.filter_candidates(case, depth=args.depth)
     payload = {
@@ -333,6 +335,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "order", None) is None and hasattr(args, "order"):
             args.order = default_order()
+        if getattr(args, "order", 0) < 0:
+            raise UsageError(f"order must be non-negative, got {args.order}")
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

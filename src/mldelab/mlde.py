@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import forms as F
 from .series import (DEFAULT_ORDER, InsufficientOrder, LogSeries,
-                     PuiseuxSeries, Q, rat, QLike, SeriesLike)
+                     PuiseuxSeries, Q, rat, QLike, SeriesLike, _RunningDenominator)
 
 
 class NotIndicialRoot(ValueError):
@@ -51,6 +52,11 @@ class Resonance(ArithmeticError):
 
 class NoLogNeeded(ValueError):
     pass
+
+
+class InconsistentResonance(ArithmeticError):
+    """A log solve meets a resonant index whose equation cannot hold, so
+    there is no depth-1 logarithmic solution based at the requested root."""
 
 
 class NonRationalRoot(ArithmeticError):
@@ -231,7 +237,6 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fr
         cs.pop()
     if len(cs) <= 1:
         return [], cs
-    from math import lcm
     den = 1
     for c in cs:
         den = lcm(den, c.denominator)
@@ -367,24 +372,35 @@ def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER,
     p, table = _operator_tables(op, order)
     if _poly_eval(p, alpha) != 0:
         raise NotIndicialRoot(f"P({alpha}) = {_poly_eval(p, alpha)} != 0")
-    a = [rat(a0)]
+    # coef(i, x) = sum_j table[j][i] x^j equals K_i(X) / (t * aq^top) at
+    # X = x * aq, where K_i has the integer Horner weights ws
+    ap, aq = alpha.numerator, alpha.denominator
+    top = len(table) - 1
+    t = lcm(*(c.denominator for row in table for c in row))
+    rows = []
+    for i in range(1, order + 1):
+        ws = [table[j][i].numerator * (t // table[j][i].denominator) * aq ** (top - j)
+              for j in range(top, -1, -1)]
+        if any(ws):
+            rows.append((i, ws))
+    scale = t * aq ** top
+    a = _RunningDenominator(rat(a0))
+    nums = a.nums
     for n in range(1, order + 1):
-        rhs = Q(0)
-        for i in range(1, n + 1):
-            x = alpha + n - i
-            xp = Q(1)
-            coef = Q(0)
-            for j in range(len(table)):
-                if table[j][i]:
-                    coef += table[j][i] * xp
-                xp *= x
-            if coef:
-                rhs -= coef * a[n - i]
+        acc = 0
+        for i, ws in rows:
+            if i > n:
+                break
+            x = ap + aq * (n - i)
+            k = 0
+            for w in ws:
+                k = k * x + w
+            acc += k * nums[n - i]
         den = _poly_eval(p, alpha + n)
         if den == 0:
             raise Resonance(n)
-        a.append(rhs / den)
-    return PuiseuxSeries(alpha, 1, tuple(a))
+        a.append(-acc * den.denominator, scale * a.den * den.numerator)
+    return PuiseuxSeries(alpha, 1, tuple(a.values))
 
 
 def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
@@ -452,7 +468,7 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
         # resonant index
         if n == 0:
             if rhs_p != 0:
-                raise ArithmeticError("inconsistent leading resonance")
+                raise InconsistentResonance("no log solution: inconsistent leading resonance")
             if upper == alpha:
                 part.append(Q(0))  # gauge: kill the q^upper coefficient
                 hom.append(Q(0))
@@ -467,7 +483,7 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
             hom = [Q(0)] * len(hom)
             rhs_p, rhs_h = Q(0), Q(0)
         if rhs_p != 0 or rhs_h != 0:
-            raise ArithmeticError(f"inconsistent resonance at step {n}")
+            raise InconsistentResonance(f"no log solution: inconsistent resonance at step {n}")
         part.append(Q(0))  # gauge: zero at every resonant index
         hom.append(Q(0))
     if x_val is None and any(hom):

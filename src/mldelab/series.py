@@ -2,8 +2,13 @@
 
 A series is stored as ``q^base * sum(coeffs[n] * q^(n/grid))`` with an
 explicit truncation: the expansion is exact modulo
-``q^(base + (order+1)/grid)``.  All coefficient arithmetic uses
-:class:`fractions.Fraction`, so nothing is ever rounded.
+``q^(base + (order+1)/grid)``.  Coefficients are stored as
+:class:`fractions.Fraction`, so nothing is ever rounded.  Products, powers
+and inverses run their quadratic loops on Python ints instead: the inputs
+are brought to integer numerators over a common denominator once, earlier
+outputs of a recurrence are kept over a running denominator (the lcm of
+their denominators so far), and each output coefficient is reduced by one
+gcd.
 
 A depth-1 logarithmic extension is provided by :class:`LogSeries`,
 representing ``plain + ell*log_part`` where ``ell`` is the formal
@@ -13,6 +18,7 @@ primitive of 1 under the Euler operator ``D = q d/dq``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -56,6 +62,40 @@ def rat(x: QLike) -> Fraction:
 
 def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def _over_common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators ns and one denominator d with cs[k] == ns[k] / d."""
+    d = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+class _RunningDenominator:
+    """The outputs of a recurrence, kept both as reduced Fractions
+    (``values``) and as integer numerators ``nums`` over ``den``, the lcm of
+    the denominators appended so far.  ``nums`` is rescaled in place only
+    when ``den`` grows.
+
+    A fixed denominator chosen up front (say D^m for step m) grows far
+    faster than this lcm and makes the integer loops much slower than the
+    Fraction ones they replace.
+    """
+
+    def __init__(self, first: Fraction):
+        self.values = [first]
+        self.nums = [first.numerator]
+        self.den = first.denominator
+
+    def append(self, num: int, den: int) -> None:
+        """Append num/den, reduced by one gcd."""
+        v = Fraction(num, den)
+        self.values.append(v)
+        if self.den % v.denominator:
+            grown = lcm(self.den, v.denominator)
+            f = grown // self.den
+            self.nums[:] = [x * f for x in self.nums]
+            self.den = grown
+        self.nums.append(v.numerator * (self.den // v.denominator))
 
 
 @dataclass(frozen=True)
@@ -117,9 +157,6 @@ class PuiseuxSeries:
         """Exponent t such that the series is exact modulo q^t."""
         return self.base + Q(len(self.coeffs), self.grid)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def leading(self) -> tuple[Fraction, Fraction]:
         """(exponent, coefficient) of the first nonzero stored term."""
         for i, c in enumerate(self.coeffs):
@@ -136,18 +173,6 @@ class PuiseuxSeries:
         if step.denominator != 1 or step < 0:
             return Q(0)
         return self.coeffs[int(step)]
-
-    def coefficients_upto(self, e: QLike) -> list[tuple[Fraction, Fraction]]:
-        """All stored (exponent, coefficient) pairs with nonzero value and exponent <= e."""
-        e = rat(e)
-        out = []
-        for i, c in enumerate(self.coeffs):
-            ex = self.base + Q(i, self.grid)
-            if ex > e:
-                break
-            if c:
-                out.append((ex, c))
-        return out
 
     # -- arithmetic ----------------------------------------------------
 
@@ -201,10 +226,6 @@ class PuiseuxSeries:
         k = rat(k)
         return PuiseuxSeries(self.base, self.grid, tuple(k * c for c in self.coeffs))
 
-    def with_truncation_of(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        """Cut so the truncation matches `other`'s (never extends)."""
-        return self.truncate(other.truncation)
-
     def __mul__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -222,19 +243,19 @@ class PuiseuxSeries:
             raise InsufficientOrder("product has no justified coefficients")
         sa = grid // self.grid
         sb = grid // other.grid
-        cs = [Q(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            ia = i * sa
-            if ia >= n:
-                break
-            jmax = min(len(other.coeffs), (n - ia + sb - 1) // sb)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b:
-                    cs[ia + j * sb] += a * b
-        return PuiseuxSeries(base, grid, tuple(cs))._normalized()
+        # only the terms that land below n take part
+        xs, da = _over_common_denominator(self.coeffs[:(n + sa - 1) // sa])
+        ys, db = _over_common_denominator(other.coeffs[:(n + sb - 1) // sb])
+        nz = [(j * sb, y) for j, y in enumerate(ys) if y]
+        offsets = [jb for jb, _ in nz]
+        acc = [0] * n
+        for i, x in enumerate(xs):
+            if x:
+                ia = i * sa
+                for jb, y in nz[:bisect_left(offsets, n - ia)]:
+                    acc[ia + jb] += x * y
+        d = da * db
+        return PuiseuxSeries(base, grid, tuple(Fraction(c, d) for c in acc))._normalized()
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -244,17 +265,7 @@ class PuiseuxSeries:
     def invert(self) -> "PuiseuxSeries":
         if not self.coeffs or not self.coeffs[0]:
             raise ZeroLeadingCoefficient("cannot invert: leading stored coefficient is 0")
-        c0 = self.coeffs[0]
-        n = len(self.coeffs)
-        inv = [Q(0)] * n
-        inv[0] = 1 / c0
-        for k in range(1, n):
-            acc = Q(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * inv[k - i]
-            inv[k] = -acc / c0
-        return PuiseuxSeries(-self.base, self.grid, tuple(inv))._normalized()
+        return self.pow(-1)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -281,17 +292,22 @@ class PuiseuxSeries:
             k = int(r)
             unit = self.scale(1 / c0)
             return unit.pow(r).scale(c0 ** k)
-        cs = self.coeffs
-        n = len(cs)
-        g = [Q(0)] * n
-        g[0] = Q(1)
-        for m in range(1, n):
-            acc = Q(0)
-            for i in range(1, m + 1):
-                if cs[i]:
-                    acc += ((r + 1) * i - m) * cs[i] * g[m - i]
-            g[m] = acc / m
-        return PuiseuxSeries(r * self.base, self.grid, tuple(g))._normalized()
+        # Miller: m g_m = sum_{i=1}^{m} ((r+1) i - m) c_i g_{m-i}; with
+        # r = p/q and c_i = ys[i-1]/d the weight is ((p+q) i - q m) / q
+        ys, d = _over_common_denominator(self.coeffs[1:])
+        p, q = r.numerator, r.denominator
+        nz = [(i, (p + q) * i, y) for i, y in enumerate(ys, 1) if y]
+        g = _RunningDenominator(Q(1))
+        nums = g.nums
+        for m in range(1, len(self.coeffs)):
+            qm = q * m
+            acc = 0
+            for i, w, y in nz:
+                if i > m:
+                    break
+                acc += (w - qm) * y * nums[m - i]
+            g.append(acc, qm * d * g.den)
+        return PuiseuxSeries(r * self.base, self.grid, tuple(g.values))._normalized()
 
     def __pow__(self, r):
         return self.pow(r)
@@ -368,9 +384,6 @@ class PuiseuxSeries:
             if a != b:
                 return (e, a, b)
         return None
-
-    def agrees_with(self, other: "PuiseuxSeries") -> bool:
-        return self.first_difference(other) is None
 
     def is_zero_to_truncation(self) -> bool:
         return not any(self.coeffs)

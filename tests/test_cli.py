@@ -122,3 +122,28 @@ def test_deterministic_output(capsys):
     _, out1 = run(capsys, "solve", "--s", "6/5", "--alpha", "-1/10", "--order", "6")
     _, out2 = run(capsys, "solve", "--s", "6/5", "--alpha", "-1/10", "--order", "6")
     assert out1 == out2
+
+
+def test_solve_log_at_simple_root_has_no_solution(capsys):
+    # -1/10 is a simple, non-resonant root at s = 6/5: no log solution
+    assert cli.main(["solve", "--s", "6/5", "--alpha", "-1/10", "--log",
+                     "--order", "6"]) == cli.EXIT_VERIFY
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("s, alpha", [("-6", "0"), ("-66/5", "-1/2"),
+                                      ("54/5", "-1/2"), ("18", "0")])
+def test_solve_log_inconsistent_resonance_has_no_solution(capsys, s, alpha):
+    assert cli.main(["solve", "--s", s, "--alpha", alpha, "--log",
+                     "--order", "6"]) == cli.EXIT_VERIFY
+    assert "no log solution" in capsys.readouterr().err
+
+
+def test_classify_depth_below_one_is_usage_error(capsys):
+    assert cli.main(["classify", "--case", "2", "--depth", "0"]) == cli.EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_negative_order_is_usage_error(capsys):
+    assert cli.main(["forms", "dump", "--name", "psi1", "--order", "-1"]) == cli.EXIT_USAGE
+    capsys.readouterr()

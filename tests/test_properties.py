@@ -1,4 +1,4 @@
-"""Property suites (hypothesis, 200 random cases each)."""
+"""Property suites (hypothesis, 200 derandomized cases each)."""
 
 from fractions import Fraction
 
@@ -99,3 +99,120 @@ def test_weighted_at_zero_matches(s):
     b = build_flat_weighted(s, 0, 8)
     for ca, cb in zip(a.coefficients, b.coefficients):
         assert eq(ca, cb)
+
+
+# -- suite 6: the integer kernel against a Fraction schoolbook --------
+#
+# The references below work term by term on exponents with Fraction
+# arithmetic only, so they share no code with the integer-numerator
+# kernel in mldelab.series.
+
+grids = st.sampled_from([1, 2, 3, 5])
+# denominators up to 5^8, with small cofactors
+kernel_coeff = st.builds(lambda n, k, m: Fraction(n, 5 ** k * m),
+                         st.integers(-60, 60), st.integers(0, 8),
+                         st.sampled_from([1, 2, 3, 7]))
+kernel_coeffs = st.lists(kernel_coeff, min_size=1, max_size=9)
+nonzero_coeff = kernel_coeff.filter(bool)
+
+
+def terms(s: PuiseuxSeries):
+    """(nonzero exponent -> coefficient, base, truncation) of a series."""
+    return ({s.base + Fraction(i, s.grid): c for i, c in enumerate(s.coeffs) if c},
+            s.base, s.truncation)
+
+
+def ref_mul(a, b):
+    (ta, base_a, trunc_a), (tb, base_b, trunc_b) = a, b
+    trunc = min(trunc_a + base_b, trunc_b + base_a)
+    out = {}
+    for ea, x in ta.items():
+        for eb, y in tb.items():
+            if ea + eb < trunc:
+                out[ea + eb] = out.get(ea + eb, 0) + x * y
+    return {e: c for e, c in out.items() if c}, base_a + base_b, trunc
+
+
+def ref_invert(s: PuiseuxSeries):
+    cs = s.coeffs
+    inv = [1 / cs[0]]
+    for k in range(1, len(cs)):
+        inv.append(-sum(cs[i] * inv[k - i] for i in range(1, k + 1)) / cs[0])
+    return terms(PuiseuxSeries(-s.base, s.grid, tuple(inv)))
+
+
+def ref_pow_unit(s: PuiseuxSeries, r: Fraction):
+    """s^r for constant term 1, from s*g' = r*s'*g term by term."""
+    cs = s.coeffs
+    g = [Fraction(1)]
+    for m in range(1, len(cs)):
+        g.append(sum(((r + 1) * i - m) * cs[i] * g[m - i] for i in range(1, m + 1)) / m)
+    return terms(PuiseuxSeries(r * s.base, s.grid, tuple(g)))
+
+
+def ref_pow_int(s: PuiseuxSeries, k: int):
+    factor = terms(s) if k >= 0 else ref_invert(s)
+    out = terms(PuiseuxSeries.one(len(s.coeffs) - 1))
+    for _ in range(abs(k)):
+        out = ref_mul(out, factor)
+    return out
+
+
+def series(base, grid, cs) -> PuiseuxSeries:
+    return PuiseuxSeries(base, grid, tuple(cs))
+
+
+@SET
+@given(small_rational, grids, kernel_coeffs, small_rational, grids, kernel_coeffs)
+def test_mul_matches_reference(b1, g1, xs, b2, g2, ys):
+    f, g = series(b1, g1, xs), series(b2, g2, ys)
+    assert terms(f * g) == ref_mul(terms(f), terms(g))
+
+
+@SET
+@given(small_rational, grids, nonzero_coeff, kernel_coeffs)
+def test_invert_matches_reference(base, grid, c0, tail):
+    f = series(base, grid, [c0] + tail)
+    assert terms(f.invert()) == ref_invert(f)
+
+
+@SET
+@given(small_rational, grids, nonzero_coeff, kernel_coeffs, st.integers(-3, 4))
+def test_integer_pow_matches_reference(base, grid, c0, tail, k):
+    f = series(base, grid, [c0] + tail)
+    assert terms(f.pow(k)) == ref_pow_int(f, k)
+
+
+@SET
+@given(small_rational, grids, kernel_coeffs, exponents.filter(bool))
+def test_rational_pow_matches_reference(base, grid, tail, r):
+    f = series(base, grid, [Fraction(1)] + tail)
+    assert terms(f.pow(r)) == ref_pow_unit(f, r)
+
+
+# -- suite 7: truncation honesty of the kernel ------------------------
+
+@SET
+@given(small_rational, grids, nonzero_coeff, kernel_coeffs, kernel_coeffs,
+       small_rational, grids, kernel_coeffs, kernel_coeffs, exponents)
+def test_truncation_honesty(b1, g1, c0, xs, more_x, b2, g2, ys, more_y, r):
+    """Coefficients below a result's truncation do not move when the
+    inputs carry more terms."""
+    f, g = series(b1, g1, [c0] + xs), series(b2, g2, ys)
+    f_long, g_long = series(b1, g1, [c0] + xs + more_x), series(b2, g2, ys + more_y)
+    unit, unit_long = f.scale(1 / c0), f_long.scale(1 / c0)
+    for short, long_ in ((f * g, f_long * g_long),
+                         (f.invert(), f_long.invert()),
+                         (f.pow(3), f_long.pow(3)),
+                         (f.pow(-2), f_long.pow(-2)),
+                         (unit.pow(r), unit_long.pow(r))):
+        assert long_.truncation >= short.truncation
+        assert terms(long_.truncate(short.truncation)) == terms(short)
+
+
+def test_high_denominator_inverse():
+    """psi1 carries a ~580-bit common denominator at order 200."""
+    psi = F.psi1(200)
+    one = psi.invert() * psi
+    assert one.truncation == 201
+    assert (one - 1).is_zero_to_truncation()
