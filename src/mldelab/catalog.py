@@ -10,23 +10,22 @@ The printed sources contain a handful of normalization slips; where the
 correct constant is forced (by the leading coefficient of the printed
 expansion together with the coefficient recursion, which is ground truth),
 the recipe carries the corrected constant and a note records the printed
-one.  Entries that cannot be reconciled are quarantined, never patched
+one.  Every entry is reconciled this way and verified; none is patched
 silently.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from . import forms as F
-from .mlde import (MLDEOperator, Resonance, build_custom, build_flat,
-                   build_sharp, flat_indicial_roots, frobenius_solve,
-                   frobenius_solve_log, modular_wronskian, mu)
+from .mlde import (MLDEOperator, build_custom, build_flat, flat_indicial_roots,
+                   frobenius_solve, frobenius_solve_log, modular_wronskian)
 from .series import (InsufficientOrder, LogSeries, PuiseuxSeries, Q, QLike,
                      SeriesLike, rat)
 
@@ -474,13 +473,8 @@ class CatalogEntry:
     s: Fraction
     exponent: Fraction
     printed_prefix: Optional[tuple[Fraction, ...]]
-    is_fundamental_system_member: bool = True
-    quasimodular_depth: int = 0
-    contains_integral: bool = False
-    suspected_nonmodular: bool = False
     operator: str = "flat"      # flat | aux3 | log
     note: str = ""
-    quarantined: bool = False
 
     @property
     def section(self) -> str:
@@ -515,12 +509,9 @@ _ent("B.b.f0", "-38/5", "4/15", (1, 8, 56, 288, 1254),
           "two-term repair and is stored in the polynomial table")
 
 _ent("B.c.f0", "-6/5", 0, (1,))
-_ent("B.c.f1/5", "-6/5", "1/5", (1, "1/3", "12/11", "11/16", "4/7"),
-     contains_integral=True, suspected_nonmodular=True)
-_ent("B.c.f4/5", "-6/5", "4/5", (1, "28/27", "4/7", "80/57", "5/9"),
-     contains_integral=True, suspected_nonmodular=True)
-_ent("B.c.aux", "-6/5", "-1/6", (1, -26, -126, -500),
-     is_fundamental_system_member=False, operator="aux3")
+_ent("B.c.f1/5", "-6/5", "1/5", (1, "1/3", "12/11", "11/16", "4/7"))
+_ent("B.c.f4/5", "-6/5", "4/5", (1, "28/27", "4/7", "80/57", "5/9"))
+_ent("B.c.aux", "-6/5", "-1/6", (1, -26, -126, -500), operator="aux3")
 
 _ent("B.d.f0", "-3/5", "-1/40", (1, 1, 1, 2, 3))
 _ent("B.d.f4/5", "-3/5", "31/40", (1, 1, 1, 2, 2))
@@ -573,11 +564,9 @@ _ent("B.l.f0", "32/5", "-19/60", (1, 190, 2831, 22306, 129276, 611724))
 _ent("B.l.f4/5", "32/5", "29/60",
      (1, "58/3", "493/3", "57362/57", "14761/3", 20734))
 _ent("B.l.f5/6", "32/5", "31/60",
-     (1, "200/11", "28647/187", "3989341/4301", "562835919/124729"),
-     contains_integral=True, suspected_nonmodular=True)
+     (1, "200/11", "28647/187", "3989341/4301", "562835919/124729"))
 _ent("B.l.f19/30", "32/5", "19/60",
-     (1, "133/5", "13243/55", "1454051/935", "168154408/21505"),
-     contains_integral=True, suspected_nonmodular=True)
+     (1, "133/5", "13243/55", "1454051/935", "168154408/21505"))
 
 _ent("B.m.f0", "54/5", "-1/2", (1, 36, 2490, 38360, 398715))
 _ent("B.m.f4/5", "54/5", "3/10", (1, "212/3", 1312, 14480, "350635/3"),
@@ -620,70 +609,54 @@ _ent("B.p.f1", -6, 1, (1, "68/11", "299/11", "1102/11", "3511/11"),
 _ent("B.q.f0", "-8/5", "11/60", (1, 0, 1, 1, 1, 1))
 _ent("B.q.f-1/5", "-8/5", "-1/60", (1, 1, 1, 1, 2, 2))
 _ent("B.q.f-1/6", "-8/5", "1/60",
-     (1, "-2/5", "1/11", "26/85", "434/1265", "9824/27115"),
-     contains_integral=True, suspected_nonmodular=True)
+     (1, "-2/5", "1/11", "26/85", "434/1265", "9824/27115"))
 _ent("B.q.f19/30", "-8/5", "49/60",
      (1, "38/33", "371/561", "22558/12903", "383219/374187", "938830/374187"),
-     contains_integral=True, suspected_nonmodular=True,
      note="printed second integrand starts psi1^5(57...); leading exponents "
           "force the psi2^5 companion bracket")
 
 _ent("C.a.f0", "-318/5", "13/5", (1, 260, 30056, 2119676, 104823121),
-     quasimodular_depth=1,
      note="printed first term (constant 50841895104, eta^(192/5)) repeats "
           "the neighbouring family; refitted constant over eta^(312/5)")
 _ent("C.a.f4/5", "-318/5", "17/5", (1, 236, 25306, 1680916, 79143742),
-     quasimodular_depth=1,
      note="printed constants give leading coefficient -1; negated pair fits")
 _ent("C.a.g0", "-318/5", "13/5", None, operator="log")
 _ent("C.a.g4/5", "-318/5", "17/5", None, operator="log")
 
 _ent("C.b.f0", "-198/5", "8/5", (1, 144, 8880, 331840, 8770284),
-     quasimodular_depth=1,
      note="printed f0 and f4/5 formulas are exchanged (exponent classes "
           "and exact fit force the swap)")
 _ent("C.b.f4/5", "-198/5", "12/5", (1, "380/3", 7164, 251344, "18958205/3"),
-     quasimodular_depth=1,
      note="printed f0 and f4/5 formulas are exchanged")
 _ent("C.b.g0", "-198/5", "8/5", None, operator="log")
 _ent("C.b.g4/5", "-198/5", "12/5", None, operator="log")
 
 _ent("C.c.f0", "-138/5", "11/10", (1, 88, 3256, 74360, 1232814),
-     quasimodular_depth=1,
      note="printed f0 and f4/5 formulas are exchanged (exponent classes "
           "and exact fit force the swap)")
 _ent("C.c.f4/5", "-138/5", "19/10", (1, 76, 2584, 55568, 876329),
-     quasimodular_depth=1,
      note="printed f0 and f4/5 formulas are exchanged")
 _ent("C.c.g0", "-138/5", "11/10", None, operator="log")
 _ent("C.c.g4/5", "-138/5", "19/10", None, operator="log")
 
-_ent("C.d.f0", "-78/5", "3/5", (1, 36, 576, 6312, 53739),
-     quasimodular_depth=1)
+_ent("C.d.f0", "-78/5", "3/5", (1, 36, 576, 6312, 53739))
 _ent("C.d.f4/5", "-78/5", "7/5", (1, "284/9", 476, 4888, "117116/3"),
-     quasimodular_depth=1,
      note="printed formula lacks the derivative on P (weight forces it)")
 _ent("C.d.g0", "-78/5", "3/5", None, operator="log")
 _ent("C.d.g4/5", "-78/5", "7/5", None, operator="log")
 
-_ent("C.e.f0", "-18/5", "1/10", (1, 0, 6, 16, 36, 72), quasimodular_depth=1)
-_ent("C.e.f4/5", "-18/5", "9/10", (1, "8/3", 6, 16, "101/3", 72),
-     quasimodular_depth=1)
+_ent("C.e.f0", "-18/5", "1/10", (1, 0, 6, 16, 36, 72))
+_ent("C.e.f4/5", "-18/5", "9/10", (1, "8/3", 6, 16, "101/3", 72))
 _ent("C.e.g0", "-18/5", "1/10", None, operator="log")
 _ent("C.e.g4/5", "-18/5", "9/10", None, operator="log")
 
 _ent("C.f.f0", "42/5", "2/5", (1, 36, 436, 3536, 21912, 113760),
-     quasimodular_depth=1,
      note="printed constant 28 makes the leading coefficient 57/7; 228 forced")
-_ent("C.f.f1/5", "42/5", "3/5", (1, 25, 276, "8379/4", 12481, 62859),
-     quasimodular_depth=1)
+_ent("C.f.f1/5", "42/5", "3/5", (1, 25, 276, "8379/4", 12481, 62859))
 _ent("C.f.g0", "42/5", "2/5", None, operator="log")
 _ent("C.f.g1/5", "42/5", "3/5", None, operator="log")
 
 ENTRIES: dict[str, CatalogEntry] = {e.label: e for e in _RAW_ENTRIES}
-
-#: entries shipped with a residual report instead of a verification claim
-CATALOG_QUARANTINE: tuple[str, ...] = ()
 
 
 def labels() -> tuple[str, ...]:
@@ -713,11 +686,9 @@ def build_entry(label: str, order: int) -> SeriesLike:
     short = label[len(e.section) + 1:]
     f = _built_section(e.section, order)[short]
     want = e.exponent + order
-    have = (f.truncation if isinstance(f, PuiseuxSeries)
-            else min(f.plain.truncation, f.log_part.truncation))
-    if have <= want:
+    if f.truncation <= want:
         raise InsufficientOrder(
-            f"{label}: built to q^{have}, requested through q^{want}")
+            f"{label}: built to q^{f.truncation}, requested through q^{want}")
     return f
 
 
@@ -767,10 +738,6 @@ def verify_entry(label: str, order: Optional[int] = None) -> dict:
     if order is None:
         order = default_verification_order(label)
     report = {"label": label, "s": str(e.s), "order": order}
-    if e.quarantined:
-        report["status"] = "quarantined"
-        report["note"] = e.note
-        return report
     f = build_entry(label, order)
     series = f.plain if (isinstance(f, LogSeries) and e.operator == "log"
                          and e.printed_prefix) else f

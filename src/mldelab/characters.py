@@ -73,20 +73,7 @@ class MinimalCharacter:
 @lru_cache(maxsize=None)
 def _inverse_euler_product(order: int) -> PuiseuxSeries:
     """1 / prod_{n>=1} (1 - q^n) to the given order."""
-    # Euler's pentagonal number expansion of prod (1 - q^n)
-    coeffs = [0] * (order + 1)
-    k = 0
-    while True:
-        hit = False
-        for m in ((k,) if k == 0 else (k, -k)):
-            e = m * (3 * m - 1) // 2
-            if e <= order:
-                coeffs[e] += (-1) ** (m % 2)
-                hit = True
-        if not hit:
-            break
-        k += 1
-    return PuiseuxSeries.make(0, coeffs).invert()
+    return F.eta(order).shift(Q(-1, 24)).invert()
 
 
 @lru_cache(maxsize=None)

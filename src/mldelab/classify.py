@@ -11,7 +11,7 @@ Frobenius expansion stays of CFT type up to a per-case depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import catalog, characters, classify, forms, relations
 from .mlde import (InconsistentResonance, NoLogNeeded, NotIndicialRoot, Resonance,
                    build_flat, frobenius_solve, frobenius_solve_log, indicial)
-from .series import InsufficientOrder, Q, rat, rat_str, series_from_json_dict
+from .series import InsufficientOrder, rat, rat_str, series_from_json_dict
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -175,8 +175,7 @@ def cmd_catalog(args) -> int:
         reports = [catalog.verify_entry(lb) for lb in labels]
     else:
         reports = catalog.verify_all()
-    bad = [r for r in reports
-           if r["status"] == "failed" and r["label"] not in catalog.CATALOG_QUARANTINE]
+    bad = [r for r in reports if r["status"] == "failed"]
     lines = [f"{r['label']}: {r['status']}" for r in reports]
     _emit({"reports": reports, "failed": len(bad)}, args.format, lines)
     return EXIT_VERIFY if bad else EXIT_OK
@@ -224,13 +223,8 @@ def cmd_reproduce(args) -> int:
     ok &= len(final) == 23
 
     cat = catalog.verify_all()
-    cat_bad = [r["label"] for r in cat if r["status"] == "failed"
-               and r["label"] not in catalog.CATALOG_QUARANTINE]
-    report["catalog"] = {
-        "reports": cat,
-        "quarantine": sorted(catalog.CATALOG_QUARANTINE),
-        "failed": cat_bad,
-    }
+    cat_bad = [r["label"] for r in cat if r["status"] == "failed"]
+    report["catalog"] = {"reports": cat, "failed": cat_bad}
     ok &= not cat_bad
 
     chars = {}

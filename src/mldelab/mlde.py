@@ -21,9 +21,15 @@ collecting the coefficient of q^(alpha+n) gives
   P(alpha+n) a_n = - sum_{i=1}^{n} sum_j c_{j,i} (alpha+n-i)^j a_{n-i},
 
 where P is the indicial polynomial P(x) = sum_j c_j(0) x^j and c_{j,i} is
-the q^i-coefficient of c_j.  Degenerate or resonant indices produce
-depth-1 logarithmic solutions, handled by an affine (particular +
-homogeneous) sweep over the one free coefficient.
+the q^i-coefficient of c_j.  One sweep of this recursion, on integer
+numerators over a running denominator, serves every solve.  At a resonant
+index (P(alpha+n) = 0) it sets a_n = 0 and reports the right-hand side
+there.  A plain solve raises on the first such report.  Degenerate or
+resonant indices produce depth-1 logarithmic solutions: the sweep runs once
+for a particular part, forced by the logarithmic term and started at 0, and
+once for the homogeneous part started at 1.  By linearity the solution is
+part + x*hom, and the one free coefficient x is pinned from the two parts'
+resonance residuals.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import forms as F
 from .series import (DEFAULT_ORDER, InsufficientOrder, LogSeries,
@@ -108,7 +114,7 @@ class MLDEOperator:
         for j, c in enumerate(self.coefficients):
             if j > 0:
                 df = df.euler_derivative()
-            term = c * df if isinstance(df, PuiseuxSeries) else df * c
+            term = c * df
             out = term if out is None else out + term
         return out
 
@@ -215,14 +221,8 @@ def serre_derivation(f: SeriesLike, k: QLike, iterations: int = 1) -> SeriesLike
     """theta_k(f) = D(f) - (k/12)*E2*f; iterates step the weight by 2."""
     k = rat(k)
     for _ in range(iterations):
-        if isinstance(f, PuiseuxSeries):
-            n = max(1, int(f.truncation - f.base) + 2)
-        else:
-            n = max(1, int(min(f.plain.truncation, f.log_part.truncation)
-                           - min(f.plain.base, f.log_part.base)) + 2)
-        e2 = F.eisenstein_e2(n)
-        term = e2 * f if isinstance(f, PuiseuxSeries) else f * e2
-        f = f.euler_derivative() - term.scale(k / 12)
+        e2 = F.eisenstein_e2(max(1, int(f.truncation - f.base) + 2))
+        f = f.euler_derivative() - (e2 * f).scale(k / 12)
         k += 2
     return f
 
@@ -258,12 +258,6 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fr
             d += 1
         return sorted(set(out))
 
-    def eval_at(poly: list[int], x: Fraction) -> Fraction:
-        acc = Q(0)
-        for c in reversed(poly):
-            acc = acc * x + c
-        return acc
-
     def deflate(poly: list[int], x: Fraction) -> list[int]:
         # synthetic division by (x - root); result rescaled to integers
         out: list[Fraction] = []
@@ -272,10 +266,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fr
             acc = acc * x + c
             out.append(acc)
         out = out[:-1][::-1]  # drop the remainder (zero), realign
-        from math import lcm as _lcm
-        d = 1
-        for c in out:
-            d = _lcm(d, c.denominator)
+        d = lcm(*(c.denominator for c in out))
         return [int(c * d) for c in out]
 
     progress = True
@@ -285,7 +276,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fr
             for qd in divisors(ints[-1]):
                 for sign in (1, -1):
                     x = Q(sign * p, qd)
-                    if eval_at(ints, x) == 0:
+                    if _poly_eval(ints, x) == 0:
                         roots.append(x)
                         ints = deflate(ints, x)
                         progress = True
@@ -364,28 +355,28 @@ def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER,
-                    a0: QLike = 1) -> PuiseuxSeries:
-    """The unique solution q^alpha(a0 + a_1 q + ...); raises Resonance if
-    P(alpha+n) vanishes for some 1 <= n <= order."""
-    alpha = rat(alpha)
-    p, table = _operator_tables(op, order)
-    if _poly_eval(p, alpha) != 0:
-        raise NotIndicialRoot(f"P({alpha}) = {_poly_eval(p, alpha)} != 0")
+def _frobenius_sweep(table: Sequence[Sequence[Fraction]], alpha: Fraction, order: int,
+                     first: Fraction, forcing: Optional[Sequence[Fraction]] = None
+                     ) -> tuple[list[Fraction], dict[int, Fraction]]:
+    """b_0 = first and, for 1 <= n <= order,
+
+      P(alpha+n) b_n = forcing[n] - sum_{i=1}^{n} sum_j c_{j,i} (alpha+n-i)^j b_{n-i}.
+
+    Returns (b, residuals): at each resonant n (P(alpha+n) = 0) b_n is set
+    to 0 and residuals[n] is the right-hand side there, in increasing n.
+    """
     # coef(i, x) = sum_j table[j][i] x^j equals K_i(X) / (t * aq^top) at
-    # X = x * aq, where K_i has the integer Horner weights ws
+    # X = x * aq, where K_i has the integer Horner weights ws; K_0 gives P
     ap, aq = alpha.numerator, alpha.denominator
     top = len(table) - 1
     t = lcm(*(c.denominator for row in table for c in row))
-    rows = []
-    for i in range(1, order + 1):
-        ws = [table[j][i].numerator * (t // table[j][i].denominator) * aq ** (top - j)
-              for j in range(top, -1, -1)]
-        if any(ws):
-            rows.append((i, ws))
+    weights = [[table[j][i].numerator * (t // table[j][i].denominator) * aq ** (top - j)
+                for j in range(top, -1, -1)] for i in range(order + 1)]
+    rows = [(i, ws) for i, ws in enumerate(weights) if i and any(ws)]
     scale = t * aq ** top
-    a = _RunningDenominator(rat(a0))
-    nums = a.nums
+    b = _RunningDenominator(first)
+    nums = b.nums
+    residuals: dict[int, Fraction] = {}
     for n in range(1, order + 1):
         acc = 0
         for i, ws in rows:
@@ -396,11 +387,33 @@ def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER,
             for w in ws:
                 k = k * x + w
             acc += k * nums[n - i]
-        den = _poly_eval(p, alpha + n)
-        if den == 0:
-            raise Resonance(n)
-        a.append(-acc * den.denominator, scale * a.den * den.numerator)
-    return PuiseuxSeries(alpha, 1, tuple(a.values))
+        x = ap + aq * n
+        p = 0
+        for w in weights[0]:
+            p = p * x + w
+        # rhs = forcing[n] - acc / (scale * den) and P(alpha+n) = p / scale
+        f = forcing[n] if forcing is not None else Q(0)
+        num = f.numerator * scale * b.den - acc * f.denominator
+        if p == 0:
+            residuals[n] = Fraction(num, f.denominator * scale * b.den)
+            b.append(0, 1)
+        else:
+            b.append(num, f.denominator * b.den * p)
+    return b.values, residuals
+
+
+def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER,
+                    a0: QLike = 1) -> PuiseuxSeries:
+    """The unique solution q^alpha(a0 + a_1 q + ...); raises Resonance if
+    P(alpha+n) vanishes for some 1 <= n <= order."""
+    alpha = rat(alpha)
+    p, table = _operator_tables(op, order)
+    if _poly_eval(p, alpha) != 0:
+        raise NotIndicialRoot(f"P({alpha}) = {_poly_eval(p, alpha)} != 0")
+    a, residuals = _frobenius_sweep(table, alpha, order, rat(a0))
+    if residuals:
+        raise Resonance(next(iter(residuals)))
+    return PuiseuxSeries(alpha, 1, tuple(a))
 
 
 def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
@@ -435,61 +448,27 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
         if j >= 1:
             term = (c * df).scale(j)
             t = term if t is None else t + term
-    p, table = _operator_tables(op, order)
-
-    # affine sweep: b_n = part_n + x * hom_n until x is pinned
-    part: list[Fraction] = []
-    hom: list[Fraction] = []
-    x_val: Optional[Fraction] = None
-
-    def t_coeff(n: int) -> Fraction:
-        e = alpha + n
-        return t.coefficient(e) if e < t.truncation else Q(0)
-
-    for n in range(order + 1):
-        rhs_p = -t_coeff(n)
-        rhs_h = Q(0)
-        for i in range(1, n + 1):
-            x = alpha + n - i
-            xp = Q(1)
-            coef = Q(0)
-            for j in range(len(table)):
-                if table[j][i]:
-                    coef += table[j][i] * xp
-                xp *= x
-            if coef:
-                rhs_p -= coef * part[n - i]
-                rhs_h -= coef * hom[n - i]
-        den = _poly_eval(p, alpha + n)
-        if den != 0:
-            part.append(rhs_p / den)
-            hom.append(rhs_h / den)
-            continue
-        # resonant index
-        if n == 0:
-            if rhs_p != 0:
-                raise InconsistentResonance("no log solution: inconsistent leading resonance")
-            if upper == alpha:
-                part.append(Q(0))  # gauge: kill the q^upper coefficient
-                hom.append(Q(0))
-                x_val = Q(0)
-            else:
-                part.append(Q(0))
-                hom.append(Q(1))  # b_0 is the free leading coefficient
-            continue
-        if x_val is None and rhs_h != 0:
-            x_val = -rhs_p / rhs_h
-            part = [pp + x_val * hh for pp, hh in zip(part, hom)]
-            hom = [Q(0)] * len(hom)
-            rhs_p, rhs_h = Q(0), Q(0)
-        if rhs_p != 0 or rhs_h != 0:
+    forcing = [-t.coefficient(alpha + n) for n in range(order + 1)]
+    if forcing[0]:
+        raise InconsistentResonance("no log solution: inconsistent leading resonance")
+    _, table = _operator_tables(op, order)
+    # f0 = part + x * hom, with x the coefficient of q^alpha
+    part, part_res = _frobenius_sweep(table, alpha, order, Q(0), forcing)
+    if upper == alpha:
+        # q^alpha is q^u, whose coefficient is gauged to zero
+        x, hom, hom_res = Q(0), [Q(0)] * (order + 1), dict.fromkeys(part_res, Q(0))
+    else:
+        x = None
+        hom, hom_res = _frobenius_sweep(table, alpha, order, Q(1))
+    for n, rp in part_res.items():
+        rh = hom_res[n]
+        if x is None and rh:
+            x = -rp / rh
+        if rp + (x or 0) * rh:
             raise InconsistentResonance(f"no log solution: inconsistent resonance at step {n}")
-        part.append(Q(0))  # gauge: zero at every resonant index
-        hom.append(Q(0))
-    if x_val is None and any(hom):
-        # free coefficient never pinned: normalize it to 1
-        part = [pp + hh for pp, hh in zip(part, hom)]
-    f0 = PuiseuxSeries(alpha, 1, tuple(part))
+    if x is None:
+        x = Q(1)  # free coefficient never pinned: normalize it to 1
+    f0 = PuiseuxSeries(alpha, 1, tuple(a + x * b for a, b in zip(part, hom)))
     return LogSeries(f0, f1.truncate(f0.truncation))
 
 
@@ -533,13 +512,6 @@ def factored_apply(s: QLike, f: SeriesLike) -> SeriesLike:
     if s not in SHARP_FACTORIZATIONS:
         raise KeyError(f"no factored form catalogued at s = {s}")
     inner, c = SHARP_FACTORIZATIONS[s]
-    if isinstance(f, PuiseuxSeries):
-        order = int(f.truncation - f.base) + 2
-    else:
-        order = int(min(f.plain.truncation, f.log_part.truncation)
-                    - min(f.plain.base, f.log_part.base)) + 2
+    order = int(f.truncation - f.base) + 2
     g = build_sharp(inner, order).apply(f)
-    h = serre_derivation(g, 4, 2)
-    e4 = F.eisenstein_e4(order)
-    term = (e4 * g if isinstance(g, PuiseuxSeries) else g * e4).scale(c)
-    return h - term
+    return serre_derivation(g, 4, 2) - (F.eisenstein_e4(order) * g).scale(c)

@@ -16,11 +16,11 @@ being asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import forms as F
-from .series import DEFAULT_ORDER, InsufficientOrder, PuiseuxSeries, Q, rat_str
+from .series import InsufficientOrder, PuiseuxSeries, Q, rat_str
 
 
 def _context(order: int) -> dict[str, PuiseuxSeries]:

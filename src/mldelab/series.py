@@ -55,8 +55,6 @@ def rat(x: QLike) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Q(x)
     return Q(x)
 
 
@@ -449,6 +447,16 @@ class LogSeries:
     plain: PuiseuxSeries
     log_part: PuiseuxSeries
 
+    @property
+    def base(self) -> Fraction:
+        """The smaller base exponent of the two parts."""
+        return min(self.plain.base, self.log_part.base)
+
+    @property
+    def truncation(self) -> Fraction:
+        """Exponent t such that both parts are exact modulo q^t."""
+        return min(self.plain.truncation, self.log_part.truncation)
+
     @staticmethod
     def lift(s: PuiseuxSeries) -> "LogSeries":
         return LogSeries(s, PuiseuxSeries.zero(s.order, s.base, s.grid))
@@ -488,12 +496,11 @@ class LogSeries:
         return self.plain.is_zero_to_truncation() and self.log_part.is_zero_to_truncation()
 
     def to_json_dict(self) -> dict:
-        base = min(self.plain.base, self.log_part.base)
+        base = self.base
         grid = lcm(self.plain.grid, self.log_part.grid,
                    (self.plain.base - base).denominator,
                    (self.log_part.base - base).denominator)
-        trunc = min(self.plain.truncation, self.log_part.truncation)
-        n = int((trunc - base) * grid)
+        n = int((self.truncation - base) * grid)
 
         def regrid(s: PuiseuxSeries) -> list[str]:
             out = [Q(0)] * n

@@ -13,10 +13,6 @@ def test_entry_inventory():
     assert len(sections) == 23
 
 
-def test_quarantine_empty():
-    assert catalog.CATALOG_QUARANTINE == ()
-
-
 def test_unknown_label():
     with pytest.raises(catalog.UnknownLabel):
         catalog.entry("B.z.f0")

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from mldelab import forms as F
-from mldelab.mlde import (SHARP_FACTORIZATIONS, MLDEOperator, NoLogNeeded,
-                          NotIndicialRoot, Resonance, alphas, build_custom,
+from mldelab.mlde import (SHARP_FACTORIZATIONS, InconsistentResonance,
+                          MLDEOperator, NoLogNeeded, NotIndicialRoot,
+                          Resonance, alphas, build_custom,
                           build_flat, build_flat_weighted, build_sharp,
                           factored_apply, flat_indicial_roots,
                           frobenius_solve, frobenius_solve_log, indicial,
@@ -69,6 +70,100 @@ def test_log_solution_s6_plain_part():
     res = op.apply(sol)
     assert res.plain.truncate(5).is_zero_to_truncation()
     assert res.log_part.truncate(5).is_zero_to_truncation()
+
+
+def _reference_solve_log(op, alpha, order):
+    """frobenius_solve_log as a Fraction sweep over b_n = part_n + x*hom_n,
+    with part re-based as soon as the free coefficient x is pinned."""
+    roots = indicial(op).roots
+    uppers = sorted({r for r in roots if r >= alpha and (r - alpha).denominator == 1})
+    upper = alpha if roots.count(alpha) >= 2 else uppers[-1]
+    f1 = frobenius_solve(op, upper, order + int(upper - alpha))
+    t = None
+    df = f1
+    for j, c in enumerate(op.coefficients):
+        if j >= 2:
+            df = df.euler_derivative()
+        if j >= 1:
+            term = (c * df).scale(j)
+            t = term if t is None else t + term
+    table = [[c.coefficient(i) for i in range(order + 1)] for c in op.coefficients]
+
+    def coef(i, x):
+        return sum(row[i] * x ** j for j, row in enumerate(table))
+
+    part, hom, x_val = [], [], None
+    for n in range(order + 1):
+        rhs_p = -t.coefficient(alpha + n)
+        rhs_h = Q(0)
+        for i in range(1, n + 1):
+            c = coef(i, alpha + n - i)
+            rhs_p -= c * part[n - i]
+            rhs_h -= c * hom[n - i]
+        den = coef(0, alpha + n)
+        if den:
+            part.append(rhs_p / den)
+            hom.append(rhs_h / den)
+            continue
+        if n == 0:
+            if rhs_p:
+                raise InconsistentResonance("no log solution: inconsistent leading resonance")
+            part.append(Q(0))
+            hom.append(Q(0) if upper == alpha else Q(1))
+            x_val = Q(0) if upper == alpha else None
+            continue
+        if x_val is None and rhs_h:
+            x_val = -rhs_p / rhs_h
+            part = [a + x_val * b for a, b in zip(part, hom)]
+            hom = [Q(0)] * len(hom)
+            rhs_p = rhs_h = Q(0)
+        if rhs_p or rhs_h:
+            raise InconsistentResonance(f"no log solution: inconsistent resonance at step {n}")
+        part.append(Q(0))
+        hom.append(Q(0))
+    if x_val is None:
+        part = [a + b for a, b in zip(part, hom)]
+    f0 = PuiseuxSeries(alpha, 1, tuple(part))
+    return LogSeries(f0, f1.truncate(f0.truncation))
+
+
+#: the log solves of the benchmark session (perfbench/inputs.py): raw and
+#: classified parameters whose upper root lies at most two steps above alpha
+LOG_POOL = [(Q(-138, 5), Q(-9, 10)), (Q(-78, 5), Q(-3, 5)), (Q(-78, 5), Q(-2, 5)),
+            (Q(-18, 5), Q(1, 10)), (Q(-18, 5), Q(-1, 10)), (Q(-6, 5), Q(0)),
+            (Q(6), Q(1, 2)), (Q(42, 5), Q(2, 5)), (Q(42, 5), Q(-2, 5)),
+            (Q(162, 5), Q(-3, 5))]
+
+
+def test_log_solve_matches_fraction_reference():
+    for s, alpha in LOG_POOL:
+        op = build_flat(s, 42)
+        got = frobenius_solve_log(op, alpha, 40).to_json_dict()
+        assert got == _reference_solve_log(op, alpha, 40).to_json_dict(), (s, alpha)
+
+
+def test_log_solution_pins_free_coefficient():
+    # roots -7/5, -3/5, 7/5, 8/5: the homogeneous part is resonant at
+    # step 2, which fixes the coefficient of q^(-3/5)
+    op = build_flat(Q(162, 5), 12)
+    sol = frobenius_solve_log(op, Q(-3, 5), 10)
+    got = [sol.plain.coefficient(Q(-3, 5) + k) for k in range(4)]
+    assert got == [Q(-1, 102960), Q(343, 77220), 0, Q(-1275622, 6435)]
+    assert sol.log_part.leading() == (Q(7, 5), 1)
+    assert op.apply(sol).is_zero_to_truncation()
+
+
+def test_log_solution_double_root():
+    op = build_flat(Q(-6, 5), 12)
+    sol = frobenius_solve_log(op, 0, 10)
+    assert [sol.plain.coefficient(k) for k in range(4)] == [0, -30, -10, Q(-40, 3)]
+    assert sol.log_part.leading() == (0, 1)
+    assert op.apply(sol).is_zero_to_truncation()
+
+
+def test_log_solution_inconsistent_at_step_2():
+    with pytest.raises(InconsistentResonance, match="at step 2"):
+        frobenius_solve_log(build_flat(-18, 12), Q(-1, 2), 10)
 
 
 def test_no_log_needed():
