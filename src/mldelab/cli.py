@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import catalog, characters, classify, forms, relations
 from .mlde import (InconsistentResonance, NoLogNeeded, NotIndicialRoot, Resonance,
-                   build_flat, frobenius_solve, frobenius_solve_log, indicial)
+                   build_flat, flat_indicial_roots, frobenius_solve,
+                   frobenius_solve_log, indicial)
 from .series import InsufficientOrder, rat, rat_str, series_from_json_dict
 
 EXIT_OK = 0
@@ -97,7 +98,12 @@ def cmd_indicial(args) -> int:
 def cmd_solve(args) -> int:
     if args.alpha is None:
         raise UsageError("solve requires --alpha")
-    op = build_flat(args.s, args.order + 2)
+    extra = 2
+    if args.log:
+        # the log part is solved at the upper root, upper - alpha steps further
+        extra = max([extra] + [int(r - args.alpha) for r in flat_indicial_roots(args.s)
+                               if r > args.alpha and (r - args.alpha).denominator == 1])
+    op = build_flat(args.s, args.order + extra)
     try:
         if args.log:
             sol = frobenius_solve_log(op, args.alpha, args.order)
@@ -117,8 +123,13 @@ def cmd_solve(args) -> int:
 def cmd_apply(args) -> int:
     if not args.series:
         raise UsageError("apply requires --series FILE")
-    with open(args.series) as fh:
-        f = series_from_json_dict(json.load(fh))
+    try:
+        with open(args.series) as fh:
+            f = series_from_json_dict(json.load(fh))
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.series}: {exc.strerror}")
+    except ValueError as exc:  # also json.JSONDecodeError and UnicodeDecodeError
+        raise UsageError(f"{args.series} holds no series: {exc}")
     op = build_flat(args.s, args.order + 2)
     out = op.apply(f)
     _emit({"s": rat_str(args.s), "series": out.to_json_dict()}, args.format)

@@ -339,11 +339,19 @@ def indicial(op: MLDEOperator) -> IndicialReport:
 
 def _operator_tables(op: MLDEOperator, order: int):
     """(P-coefficients, c[j][i] table for i = 0..order)."""
+    table = []
     for c in op.coefficients:
         if c.truncation <= order:
             raise InsufficientOrder(
                 f"operator coefficients only justified to q^{c.truncation}, need > {order}")
-    table = [[c.coefficient(i) for i in range(order + 1)] for c in op.coefficients]
+        # q^i sits at index start + i * grid when that is a whole number
+        start = -c.base * c.grid
+        if start.denominator != 1:
+            table.append([Q(0)] * (order + 1))
+            continue
+        start, cs = int(start), c.coeffs
+        table.append([cs[k] if k >= 0 else Q(0)
+                      for k in range(start, start + (order + 1) * c.grid, c.grid)])
     p = tuple(row[0] for row in table)
     return p, table
 
@@ -410,7 +418,12 @@ def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER,
     p, table = _operator_tables(op, order)
     if _poly_eval(p, alpha) != 0:
         raise NotIndicialRoot(f"P({alpha}) = {_poly_eval(p, alpha)} != 0")
-    a, residuals = _frobenius_sweep(table, alpha, order, rat(a0))
+    return _series_solution(table, alpha, order, rat(a0))
+
+
+def _series_solution(table: Sequence[Sequence[Fraction]], alpha: Fraction,
+                     order: int, a0: Fraction) -> PuiseuxSeries:
+    a, residuals = _frobenius_sweep(table, alpha, order, a0)
     if residuals:
         raise Resonance(next(iter(residuals)))
     return PuiseuxSeries(alpha, 1, tuple(a))
@@ -438,7 +451,10 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
     else:
         raise NoLogNeeded(f"{alpha} is a simple, non-resonant root")
 
-    f1 = frobenius_solve(op, upper, order + int(upper - alpha))
+    # one table serves f1, which runs upper - alpha steps further, and f0
+    top = order + int(upper - alpha)
+    _, table = _operator_tables(op, top)
+    f1 = _series_solution(table, upper, top, Q(1))
     # T = sum_j j * c_j * D^(j-1) f1, the ell-interaction term
     t = None
     df = f1
@@ -451,7 +467,6 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
     forcing = [-t.coefficient(alpha + n) for n in range(order + 1)]
     if forcing[0]:
         raise InconsistentResonance("no log solution: inconsistent leading resonance")
-    _, table = _operator_tables(op, order)
     # f0 = part + x * hom, with x the coefficient of q^alpha
     part, part_res = _frobenius_sweep(table, alpha, order, Q(0), forcing)
     if upper == alpha:

@@ -421,9 +421,18 @@ class PuiseuxSeries:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PuiseuxSeries":
-        s = PuiseuxSeries(rat(d["base_exponent"]), int(d["grid"]),
-                          tuple(rat(c) for c in d["coeffs"]))
-        if s.order != int(d["order"]):
+        """Inverse of :meth:`to_json_dict`; raises ValueError on anything
+        that method would not have written."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a series is a JSON object, not {type(d).__name__}")
+        missing = [k for k in ("base_exponent", "grid", "order", "coeffs") if k not in d]
+        if missing:
+            raise ValueError(f"series lacks {', '.join(missing)}")
+        grid, order = d["grid"], d["order"]
+        if type(grid) is not int or grid < 1:
+            raise ValueError(f"grid must be a positive integer, got {grid!r}")
+        s = PuiseuxSeries(_json_rat(d["base_exponent"]), grid, _json_rats(d["coeffs"]))
+        if type(order) is not int or s.order != order:
             raise ValueError("coeffs length does not match declared order")
         return s
 
@@ -524,9 +533,29 @@ class LogSeries:
 SeriesLike = Union[PuiseuxSeries, LogSeries]
 
 
+def _json_rat(x) -> Fraction:
+    """An exact rational from a JSON int or "p/q" string, else ValueError."""
+    if type(x) not in (int, str):
+        raise ValueError(f"bad rational {x!r}: not an integer or a string")
+    try:
+        return rat(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {x!r}: {exc}") from None
+
+
+def _json_rats(xs) -> tuple[Fraction, ...]:
+    if not isinstance(xs, list) or not xs:
+        raise ValueError("coefficients must be a non-empty JSON list")
+    return tuple(_json_rat(x) for x in xs)
+
+
 def series_from_json_dict(d: dict) -> SeriesLike:
+    """A PuiseuxSeries, or a LogSeries when ``log_coeffs`` is present;
+    raises ValueError on a malformed dict."""
     s = PuiseuxSeries.from_json_dict(d)
-    if "log_coeffs" in d and d["log_coeffs"] is not None:
-        logp = PuiseuxSeries(s.base, s.grid, tuple(rat(c) for c in d["log_coeffs"]))
+    if d.get("log_coeffs") is not None:
+        logp = PuiseuxSeries(s.base, s.grid, _json_rats(d["log_coeffs"]))
+        if logp.order != s.order:
+            raise ValueError("log_coeffs length does not match declared order")
         return LogSeries(s._normalized(), logp._normalized())
     return s

@@ -1,8 +1,12 @@
 from fractions import Fraction as Fr
+from itertools import product
+from math import ceil, floor, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mldelab import characters as ch
+from mldelab import forms as F
 from mldelab.mlde import flat_indicial_roots
 from mldelab.series import Q
 
@@ -118,3 +122,119 @@ def test_a2_small_prefixes():
     by_exp = {e: chi for e, chi in basis}
     chi = by_exp[Q(-1, 15)]
     assert [chi.coefficient(Q(-1, 15) + k) for k in range(5)] == [1, 4, 8, 20, 37]
+
+
+# -- the level sweep against independent enumerators ------------------
+
+def _recursive_counts(lat, order):
+    """{Q(v)/2: multiplicity} by the depth-first branch-and-bound that the
+    level sweep replaced: one leaf per vector, centres re-summed per node."""
+    L, d = lat.ldl()
+    n = lat.rank
+    c = list(lat.coset_offset)
+    M = lcm(*(x.denominator for x in c), 1)
+    Lam = lcm(*(L[j][i].denominator for i in range(n) for j in range(i + 1, n)),
+              1)
+    ML = M * Lam
+    K = lcm(*(di.denominator for di in d)) * ML * ML
+    P = [int(di * K) // (ML * ML) for di in d]
+    base_off = [int(ML * ci) for ci in c]
+    cols = [[int(Lam * L[j][i]) for j in range(i + 1, n)] for i in range(n)]
+    counts = {}
+
+    def descend(i, rem, shifted, acc):
+        t = base_off[i] + sum(f * s for f, s in zip(cols[i], shifted))
+        base = -((t + ML - 1) // ML)
+        for start, step in ((base, -1), (base + 1, 1)):
+            x = start
+            while True:
+                y = x * ML + t
+                cost = P[i] * y * y
+                if cost > rem:
+                    break
+                if i == 0:
+                    counts[acc + cost] = counts.get(acc + cost, 0) + 1
+                else:
+                    descend(i - 1, rem - cost,
+                            [x * M + base_off[i] // Lam] + shifted, acc + cost)
+                x += step
+
+    descend(n - 1, 2 * order * K, [], 0)
+    return {Q(e, 2 * K): k for e, k in counts.items()}
+
+
+def _box_counts(gram, offset, order):
+    """{Q(v)/2: multiplicity} over a box that holds every v = x + offset
+    with Q(v) <= 2*order: |v_i|^2 <= 2*order * (G^-1)_ii."""
+    n = len(gram)
+    counts = {}
+    ranges = []
+    for i in range(n):
+        r2 = 2 * order * ch.fundamental_coweight(gram, i + 1)[i]
+        r = isqrt(floor(r2)) + 1
+        ranges.append(range(ceil(-r - offset[i]), floor(r - offset[i]) + 1))
+    for x in product(*ranges):
+        v = [xi + ci for xi, ci in zip(x, offset)]
+        e = sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n)) / 2
+        if e <= order:
+            counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def _theta_counts(theta):
+    return {theta.base + Q(i, theta.grid): c
+            for i, c in enumerate(theta.coeffs) if c}
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6", "E7", "E8"])
+def test_sweep_matches_recursive_enumeration(name):
+    gram, cosets, _ = ch._case_data(name)
+    for c in cosets:
+        lat = ch.lattice(gram, c)
+        full = _recursive_counts(lat, 29)
+        for order in (3, 25, 26, 27, 28, 29):
+            want = {e: k for e, k in full.items() if e <= order}
+            assert _theta_counts(ch.lattice_theta(lat, order)) == want, (name, c, order)
+
+
+def _cartan_E8():
+    # Bourbaki: chain 1-3-4-5-6-7-8 with node 2 attached to node 4
+    g = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for a, b in [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]:
+        g[a - 1][b - 1] = g[b - 1][a - 1] = -1
+    return g
+
+
+def test_e8_theta_is_e4():
+    theta = ch.lattice_theta(ch.lattice(_cartan_E8()), 60)
+    e4 = F.eisenstein_e4(60)
+    assert theta.base == 0 and theta.grid == 1
+    assert theta.coeffs == e4.coeffs
+
+
+@st.composite
+def _lattices(draw):
+    """Gram A A^T of a lower-triangular integer A with diagonal 1 or 2,
+    plus a small diagonal: positive definite, with a small box."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(st.integers(1, 2)) if i == j else
+          draw(st.integers(-1, 1)) if j < i else 0
+          for j in range(n)] for i in range(n)]
+    extra = [draw(st.integers(0, 2)) for _ in range(n)]
+    gram = [[sum(a[i][k] * a[j][k] for k in range(n)) + (extra[i] if i == j else 0)
+             for j in range(n)] for i in range(n)]
+    offset = [Q(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+              for _ in range(n)]
+    return gram, offset
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lattices(), st.integers(0, 8))
+def test_sweep_matches_box_enumeration(lat_data, order):
+    gram, offset = lat_data
+    want = _box_counts(gram, offset, order)
+    if not want:
+        with pytest.raises(ArithmeticError):
+            ch.lattice_theta(ch.lattice(gram, offset), order)
+        return
+    assert _theta_counts(ch.lattice_theta(ch.lattice(gram, offset), order)) == want

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -147,3 +148,69 @@ def test_classify_depth_below_one_is_usage_error(capsys):
 def test_negative_order_is_usage_error(capsys):
     assert cli.main(["forms", "dump", "--name", "psi1", "--order", "-1"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+def test_solve_log_builds_operator_past_upper_root(capsys):
+    # the upper root 19/10 sits three steps above alpha = -11/10
+    code, payload = run_json(capsys, "solve", "--s", "-138/5", "--alpha", "-11/10",
+                             "--log", "--order", "8")
+    assert code == 0
+    assert payload["series"]["order"] == 8
+
+
+def _log_requests():
+    """(s, alpha) with alpha a double root or below another root by a whole
+    number, for s = k/5, |k| <= 330."""
+    from mldelab.mlde import flat_indicial_roots
+    out = []
+    for k in range(-330, 331):
+        s = Fraction(k, 5)
+        roots = flat_indicial_roots(s)
+        for a in sorted(set(roots)):
+            if roots.count(a) >= 2 or any(r > a and (r - a).denominator == 1
+                                          for r in roots):
+                out.append((s, a))
+    return out
+
+
+def test_no_log_request_runs_short_of_order(capsys):
+    requests = _log_requests()
+    assert len(requests) == 45
+    for s, a in requests:
+        code = cli.main(["solve", "--s", str(s), "--alpha", str(a), "--log",
+                         "--order", "8"])
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY), (s, a, code)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [
+    None,                                    # missing file
+    "{not json",
+    "[1, 2, 3]",
+    json.dumps({"base_exponent": "0", "grid": 0, "order": 1, "coeffs": ["1", "2"]}),
+    json.dumps({"base_exponent": "0", "grid": 1, "order": 1, "coeffs": ["1", "2/x"]}),
+], ids=["missing", "not-json", "list", "grid-0", "bad-rational"])
+def test_apply_rejects_bad_series_file(capsys, tmp_path, content):
+    path = tmp_path / "series.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["apply", "--s", "6/5", "--series", str(path),
+                     "--order", "4"]) == cli.EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--log"]])
+def test_apply_annihilates_solution_file(capsys, tmp_path, extra):
+    alpha = "1/2" if extra else "-1/10"
+    s = "6" if extra else "6/5"
+    code, payload = run_json(capsys, "solve", "--s", s, "--alpha", alpha,
+                             "--order", "6", *extra)
+    assert code == 0
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(payload["series"]))
+    code, payload = run_json(capsys, "apply", "--s", s, "--series", str(path),
+                             "--order", "6")
+    assert code == 0
+    out = payload["series"]
+    assert set(out["coeffs"]) == {"0"}
+    assert set(out.get("log_coeffs", ["0"])) == {"0"}
