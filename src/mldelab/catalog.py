@@ -717,15 +717,9 @@ def designated_operator(label: str, order: int) -> MLDEOperator:
 def _residual_leading(r: SeriesLike):
     """(exponent, value) of the first nonzero residual coefficient, or None."""
     parts = [r] if isinstance(r, PuiseuxSeries) else [r.plain, r.log_part]
-    best = None
-    for p in parts:
-        for i, c in enumerate(p.coeffs):
-            if c:
-                e = p.base + Q(i, p.grid)
-                if best is None or e < best[0]:
-                    best = (e, c)
-                break
-    return best
+    leads = [p.leading() for p in parts if not p.is_zero_to_truncation()]
+    # on a tie in the exponent, the plain part is reported
+    return min(leads, key=lambda lead: lead[0]) if leads else None
 
 
 def default_verification_order(label: str) -> int:

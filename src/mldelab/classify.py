@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .mlde import Resonance, build_flat, frobenius_solve
 from .series import Q, QLike, rat
@@ -93,15 +93,12 @@ class CandidateReport:
     resonant: tuple[Fraction, ...] = ()
 
 
-def filter_candidates(case: CaseSpec,
-                      candidates: Optional[Sequence[tuple[Fraction, int]]] = None,
-                      depth: Optional[int] = None) -> CandidateReport:
+def filter_candidates(case: CaseSpec, depth: Optional[int] = None) -> CandidateReport:
     """Keep s iff the Frobenius solution at the case root is CFT type to depth.
 
     Also cross-checks the Diophantine a1 against the recursion's a1.
     """
-    if candidates is None:
-        candidates = enumerate_case(case)
+    candidates = enumerate_case(case)
     depth = depth if depth is not None else case.filter_depth
     passed_upto: dict[Fraction, int] = {}
     resonant: list[Fraction] = []
@@ -137,19 +134,18 @@ def filter_candidates(case: CaseSpec,
         resonant=tuple(resonant))
 
 
-def classify_all(depths: Optional[dict[int, int]] = None) -> tuple[Fraction, ...]:
+def classify_all() -> tuple[Fraction, ...]:
     """Union of the four filtered cases plus the excluded linear roots."""
     values: set[Fraction] = set()
-    for cid, case in CASES.items():
-        depth = (depths or {}).get(cid)
-        values.update(filter_candidates(case, depth=depth).final)
+    for case in CASES.values():
+        values.update(filter_candidates(case).final)
         values.add(case.excluded_linear_root)
     return tuple(sorted(values))
 
 
-def strictly_modular_candidates(depths: Optional[dict[int, int]] = None) -> tuple[Fraction, ...]:
+def strictly_modular_candidates() -> tuple[Fraction, ...]:
     """The classification minus the six quasimodular values (17 numbers)."""
-    return tuple(s for s in classify_all(depths) if s not in QUASIMODULAR_VALUES)
+    return tuple(s for s in classify_all() if s not in QUASIMODULAR_VALUES)
 
 
 # -- printed polynomial oracles (regression fixtures) -----------------

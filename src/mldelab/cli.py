@@ -4,6 +4,16 @@ Subcommands expose each library module with deterministic JSON output
 (rationals as "p/q" strings, keys sorted) or a terse table rendering, and
 ``reproduce`` runs the full verification battery in one shot.
 
+A rational argument is a ``p/q`` or decimal string of at most 100
+characters.  Its decimal exponent, like that of a coefficient in an
+``apply --series`` file, is at most 100 in magnitude.  Anything larger is
+a usage error, refused before the value is built.
+
+Without ``--order``, ``forms verify`` runs each relation group at its
+order in ``relations.GROUP_ORDERS`` (50 for a-d, 25 for e-g) and
+``catalog verify`` each entry at ``catalog.default_verification_order``
+(25 or 40).  The other commands use ``MLDE_DEFAULT_ORDER``, or 50.
+
 Exit codes: 0 success, 2 verification failure or no such solution,
 3 usage error, 4 insufficient order.
 """
@@ -21,12 +31,15 @@ from . import catalog, characters, classify, forms, relations
 from .mlde import (InconsistentResonance, NoLogNeeded, NotIndicialRoot, Resonance,
                    build_flat, flat_indicial_roots, frobenius_solve,
                    frobenius_solve_log, indicial)
-from .series import InsufficientOrder, rat, rat_str, series_from_json_dict
+from .series import InsufficientOrder, parse_rat, rat_str, series_from_json_dict
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_USAGE = 3
 EXIT_ORDER = 4
+
+#: the most characters a rational argument may have
+RAT_ARG_CHARS = 100
 
 
 def default_order() -> int:
@@ -44,8 +57,10 @@ class UsageError(Exception):
 
 
 def _rat(text: str) -> Fraction:
+    if len(text) > RAT_ARG_CHARS:
+        raise UsageError(f"bad rational {text[:20]!r}...: longer than {RAT_ARG_CHARS} characters")
     try:
-        return rat(text)
+        return parse_rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {text!r}: {exc}")
 
@@ -73,10 +88,8 @@ def cmd_forms(args) -> int:
         _emit({"name": args.name, "series": series.to_json_dict()}, args.format)
         return EXIT_OK
     # verify
-    if args.group:
-        reports = relations.verify_group(args.group, args.order)
-    else:
-        reports = relations.verify_all()
+    groups = [args.group] if args.group else relations.GROUP_ORDERS
+    reports = [rep for g in groups for rep in relations.verify_group(g, args.order)]
     bad = [r for r in reports if r["status"] == "failed"]
     lines = [f"{r['label']}: {r['status']}" for r in reports]
     _emit({"reports": reports, "failed": len(bad)}, args.format, lines)
@@ -183,9 +196,9 @@ def cmd_catalog(args) -> int:
                   if catalog.entry(lb).s == args.s]
         if not labels:
             raise UsageError(f"no catalog entries at s = {rat_str(args.s)}")
-        reports = [catalog.verify_entry(lb) for lb in labels]
+        reports = [catalog.verify_entry(lb, args.order) for lb in labels]
     else:
-        reports = catalog.verify_all()
+        reports = catalog.verify_all(args.order)
     bad = [r for r in reports if r["status"] == "failed"]
     lines = [f"{r['label']}: {r['status']}" for r in reports]
     _emit({"reports": reports, "failed": len(bad)}, args.format, lines)
@@ -338,9 +351,11 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "order", None) is None and hasattr(args, "order"):
+        # without --order a verify command runs each check at its documented order
+        verify = "verify" in (getattr(args, "forms_cmd", None), getattr(args, "catalog_cmd", None))
+        if hasattr(args, "order") and args.order is None and not verify:
             args.order = default_order()
-        if getattr(args, "order", 0) < 0:
+        if (getattr(args, "order", 0) or 0) < 0:
             raise UsageError(f"order must be non-negative, got {args.order}")
         return _HANDLERS[args.command](args)
     except UsageError as exc:

@@ -18,6 +18,7 @@ primitive of 1 under the Euler operator ``D = q d/dq``.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,11 @@ Q = Fraction
 QLike = Union[int, Fraction, str]
 
 DEFAULT_ORDER = 50
+
+#: the largest magnitude of the decimal exponent of a rational string
+RAT_EXPONENT_CAP = 100
+
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 
 class SeriesError(ArithmeticError):
@@ -56,6 +62,16 @@ def rat(x: QLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Q(x)
+
+
+def parse_rat(text: str) -> Fraction:
+    """The rational a 'p/q' or decimal string spells.  A decimal exponent
+    beyond RAT_EXPONENT_CAP in magnitude raises ValueError before the value
+    is built: ``1e10000000`` would build a ten-million-digit integer."""
+    exponent = _DECIMAL_EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > RAT_EXPONENT_CAP:
+        raise ValueError(f"decimal exponent beyond {RAT_EXPONENT_CAP} in magnitude")
+    return Q(text)
 
 
 def rat_str(x: Fraction) -> str:
@@ -367,22 +383,6 @@ class PuiseuxSeries:
 
     # -- comparisons ---------------------------------------------------
 
-    def first_difference(self, other: "PuiseuxSeries"):
-        """First (exponent, self_coeff, other_coeff) where the two disagree, or None.
-
-        Comparison runs over every exponent below the smaller truncation.
-        """
-        base, grid, n = self._aligned(other)
-        if n <= 0:
-            raise InsufficientOrder("series share no justified comparison range")
-        for j in range(n):
-            e = base + Q(j, grid)
-            a = self.coefficient(e)
-            b = other.coefficient(e)
-            if a != b:
-                return (e, a, b)
-        return None
-
     def is_zero_to_truncation(self) -> bool:
         return not any(self.coeffs)
 
@@ -538,7 +538,7 @@ def _json_rat(x) -> Fraction:
     if type(x) not in (int, str):
         raise ValueError(f"bad rational {x!r}: not an integer or a string")
     try:
-        return rat(x)
+        return Q(x) if type(x) is int else parse_rat(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {x!r}: {exc}") from None
 

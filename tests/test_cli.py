@@ -86,6 +86,18 @@ def test_catalog_verify_single_s(capsys):
     assert code == 0
     assert payload["failed"] == 0
     assert len(payload["reports"]) == 4
+    assert {r["order"] for r in payload["reports"]} == {25}
+
+
+@pytest.mark.parametrize("argv, orders", [
+    (["--order", "12"], {12}),
+    (["--group", "e"], {25}),
+    (["--group", "a", "--order", "10"], {10}),
+])
+def test_forms_verify_order(capsys, argv, orders):
+    code, payload = run_json(capsys, "forms", "verify", *argv)
+    assert code == 0
+    assert {r["order"] for r in payload["reports"]} == orders
 
 
 def test_characters_exponents(capsys):
@@ -100,6 +112,19 @@ def test_usage_errors(capsys):
     assert cli.main(["solve", "--s", "not-a-rational", "--alpha", "0"]) == cli.EXIT_USAGE
     assert cli.main(["catalog", "build"]) == cli.EXIT_USAGE
     assert cli.main(["characters"]) == cli.EXIT_USAGE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("s", ["1e100000", "1e-101", "1" * 101])
+def test_oversized_rational_is_usage_error(capsys, s):
+    assert cli.main(["solve", "--s", s, "--alpha", "0", "--order", "2"]) == cli.EXIT_USAGE
+    assert "bad rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["1e100", "9" * 98 + "/7"])
+def test_rational_inside_cap_is_read(capsys, s):
+    # neither value has 0 as an indicial root
+    assert cli.main(["solve", "--s", s, "--alpha", "0", "--order", "2"]) == cli.EXIT_VERIFY
     capsys.readouterr()
 
 
@@ -189,7 +214,8 @@ def test_no_log_request_runs_short_of_order(capsys):
     "[1, 2, 3]",
     json.dumps({"base_exponent": "0", "grid": 0, "order": 1, "coeffs": ["1", "2"]}),
     json.dumps({"base_exponent": "0", "grid": 1, "order": 1, "coeffs": ["1", "2/x"]}),
-], ids=["missing", "not-json", "list", "grid-0", "bad-rational"])
+    json.dumps({"base_exponent": "0", "grid": 1, "order": 1, "coeffs": ["1", "1e100000"]}),
+], ids=["missing", "not-json", "list", "grid-0", "bad-rational", "huge-rational"])
 def test_apply_rejects_bad_series_file(capsys, tmp_path, content):
     path = tmp_path / "series.json"
     if content is not None:
@@ -197,6 +223,16 @@ def test_apply_rejects_bad_series_file(capsys, tmp_path, content):
     assert cli.main(["apply", "--s", "6/5", "--series", str(path),
                      "--order", "4"]) == cli.EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+def test_apply_reads_long_coefficients(capsys, tmp_path):
+    # solve writes coefficients longer than the 100-character argument cap
+    path = tmp_path / "series.json"
+    long_coeff = "1/" + "3" * 150
+    path.write_text(json.dumps({"base_exponent": "0", "grid": 1, "order": 1,
+                                "coeffs": ["1", long_coeff]}))
+    code, _ = run(capsys, "apply", "--s", "6/5", "--series", str(path), "--order", "1")
+    assert code == 0
 
 
 @pytest.mark.parametrize("extra", [[], ["--log"]])

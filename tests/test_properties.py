@@ -1,6 +1,7 @@
 """Property suites (hypothesis, 200 derandomized cases each)."""
 
 from fractions import Fraction
+from math import floor
 
 from hypothesis import given, settings, strategies as st
 
@@ -194,18 +195,25 @@ def test_rational_pow_matches_reference(base, grid, tail, r):
 
 @SET
 @given(small_rational, grids, nonzero_coeff, kernel_coeffs, kernel_coeffs,
-       small_rational, grids, kernel_coeffs, kernel_coeffs, exponents)
-def test_truncation_honesty(b1, g1, c0, xs, more_x, b2, g2, ys, more_y, r):
+       small_rational, grids, kernel_coeffs, kernel_coeffs, exponents,
+       st.integers(1, 4), kernel_coeff)
+def test_truncation_honesty(b1, g1, c0, xs, more_x, b2, g2, ys, more_y, r, m, k):
     """Coefficients below a result's truncation do not move when the
     inputs carry more terms."""
     f, g = series(b1, g1, [c0] + xs), series(b2, g2, ys)
     f_long, g_long = series(b1, g1, [c0] + xs + more_x), series(b2, g2, ys + more_y)
     unit, unit_long = f.scale(1 / c0), f_long.scale(1 / c0)
+    # a constant can only be added to a series that is exact past q^0
+    lift = max(0, 1 - floor(f.truncation))
     for short, long_ in ((f * g, f_long * g_long),
                          (f.invert(), f_long.invert()),
                          (f.pow(3), f_long.pow(3)),
                          (f.pow(-2), f_long.pow(-2)),
-                         (unit.pow(r), unit_long.pow(r))):
+                         (unit.pow(r), unit_long.pow(r)),
+                         (f + g, f_long + g_long),
+                         (f.euler_derivative(), f_long.euler_derivative()),
+                         (f.substitute_power(m), f_long.substitute_power(m)),
+                         (f.shift(lift) + k, f_long.shift(lift) + k)):
         assert long_.truncation >= short.truncation
         assert terms(long_.truncate(short.truncation)) == terms(short)
 

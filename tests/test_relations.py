@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mldelab import relations
@@ -6,7 +8,7 @@ from mldelab import relations
 def test_catalog_shape():
     labels = [r.label for r in relations.RELATIONS]
     assert len(labels) == len(set(labels))
-    groups = {r.group for r in relations.RELATIONS}
+    groups = {r.label.split(".")[0] for r in relations.RELATIONS}
     assert groups == set("abcdefg")
 
 
@@ -35,3 +37,30 @@ def test_single_relation_and_lookup():
     assert rep["status"] == "verified"
     with pytest.raises(KeyError):
         relations.get_relation("z.9")
+
+
+def test_mutated_relation_fails_with_its_residual():
+    a2 = relations.get_relation("a.2")
+    mutant = replace(a2, formula=a2.formula.replace("192", "193"))
+    rep = relations.verify_relation(mutant, 10)
+    assert rep["status"] == "failed"
+    assert (rep["first_bad_exponent"], rep["residual"]) == ("1", "-1")
+
+
+def test_evaluator_reads_substitution_and_derivative():
+    e2 = relations.evaluate("E2", 10)
+    assert relations.evaluate("E2(q^3)", 10).coefficient(3) == e2.coefficient(1)
+    assert relations.evaluate("E2'", 10).coefficient(2) == 2 * e2.coefficient(2)
+    assert relations.evaluate("D[E2(q^2)]", 10).coefficient(4) == 4 * e2.coefficient(2)
+
+
+@pytest.mark.parametrize("formula, token", [
+    ("E4 = H2^2 + 192*Delta9^2", "'Delta9'"),
+    ("E4 = {H2^2 + 192*Delta2^2", "'}'"),
+    ("E4 = H2^2 + 192*Delta2^2 H2", "'H2'"),
+    ("E4 = H2^x", "'x'"),
+    ("E4 = H2^2 + 192*Delta2(1)^2", "'1'"),
+])
+def test_malformed_formula_names_its_token(formula, token):
+    with pytest.raises(ValueError, match=token):
+        relations.verify_relation(relations.RelationRecord("z.1", formula), 10)
