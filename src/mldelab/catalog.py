@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from . import forms as F
@@ -71,34 +72,69 @@ def polynomial(name: str) -> dict:
 
 
 def evaluate_polynomial(name: str, values: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
-    """Evaluate a stored polynomial at the given series, one per variable."""
+    """Evaluate a stored polynomial at the given series, one per variable.
+
+    A homogeneous binary form (every two-variable table: degree up to 161,
+    exponents stepping by 5) is evaluated by Horner's rule in a ratio, one
+    product per term, with no power chain; see ``_binary_form``.  Any other
+    table takes each distinct power of a variable once, by the ``pow``
+    recurrence, and one product per term.
+    """
     rec = polynomial(name)
     if len(values) != len(rec["variables"]):
         raise ValueError(f"{name} expects {len(rec['variables'])} values")
-    pow_cache: dict[tuple[int, int], PuiseuxSeries] = {}
-
-    def vpow(i: int, e: int) -> PuiseuxSeries:
-        key = (i, e)
-        if key not in pow_cache:
-            if e == 1:
-                pow_cache[key] = values[i]
-            elif e % 2:
-                pow_cache[key] = vpow(i, e - 1) * values[i]
-            else:
-                h = vpow(i, e // 2)
-                pow_cache[key] = h * h
-        return pow_cache[key]
-
+    terms = rec["terms"]
+    degrees = {sum(exps) for _, exps in terms}
+    if len(values) == 2 and len(degrees) == 1:
+        return _binary_form(terms, degrees.pop(), values)
+    powers: dict[tuple[int, int], PuiseuxSeries] = {}
     acc = None
-    for coeff, exps in rec["terms"]:
+    for coeff, exps in terms:
         term: Optional[PuiseuxSeries] = None
         for i, e in enumerate(exps):
             if e:
-                p = vpow(i, e)
-                term = p if term is None else term * p
+                if (i, e) not in powers:
+                    powers[i, e] = values[i].pow(e)
+                term = powers[i, e] if term is None else term * powers[i, e]
         term = PuiseuxSeries.make(0, [coeff]) if term is None else term.scale(coeff)
         acc = term if acc is None else acc + term
     return acc
+
+
+def _binary_form(terms, degree: int, values: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
+    """sum c * x^a * y^b over terms with a + b = degree, as
+
+        lo^(degree - e0) * hi^e0 * H(z),  z = (hi / lo)^g,  H(z) = sum c_k z^k,
+
+    where lo is the variable of smaller base exponent, hi the other, e0 the
+    least exponent of hi and g the gcd of its steps.  H is evaluated by
+    Horner's rule: one product by z and one constant add per step.
+
+    Choosing lo by base gives z a non-negative leading exponent, so no step
+    loses relative precision: the result is exact to the smaller relative
+    precision of the two inputs past its base, which is exactly the
+    truncation of the term-by-term sum when both carry the same relative
+    precision (as every recipe's inputs do) and never past it otherwise.
+    lo needs a nonzero stored leading coefficient, as every named form has.
+    """
+    lo = 0 if values[0].base <= values[1].base else 1
+    hi = 1 - lo
+    by_hi = {exps[hi]: c for c, exps in terms}
+    e0 = min(by_hi)
+    g = gcd(*(e - e0 for e in by_hi)) or 1
+    cs = [by_hi.get(e, 0) for e in range(e0, max(by_hi) + 1, g)]
+    prefactor = None
+    for i, e in ((lo, degree - e0), (hi, e0)):
+        if e:
+            p = values[i].pow(e)
+            prefactor = p if prefactor is None else prefactor * p
+    if len(cs) == 1:
+        return prefactor.scale(cs[0])
+    z = (values[hi] * values[lo].invert()).pow(g)
+    h = z.scale(cs[-1])
+    for c in reversed(cs[1:-1]):
+        h = (h + c) * z
+    return prefactor * (h + cs[0])
 
 
 # -- shared constituents ----------------------------------------------

@@ -12,7 +12,9 @@ a usage error, refused before the value is built.
 Without ``--order``, ``forms verify`` runs each relation group at its
 order in ``relations.GROUP_ORDERS`` (50 for a-d, 25 for e-g) and
 ``catalog verify`` each entry at ``catalog.default_verification_order``
-(25 or 40).  The other commands use ``MLDE_DEFAULT_ORDER``, or 50.
+(25 or 40).  The other commands use ``MLDE_DEFAULT_ORDER``, or 50;
+``characters --verify`` checks at that order too.  ``reproduce`` runs
+every check at its documented order and takes no ``--order``.
 
 Exit codes: 0 success, 2 verification failure or no such solution,
 3 usage error, 4 insufficient order.
@@ -221,7 +223,7 @@ def cmd_characters(args) -> int:
         basis = characters.ramond_character_basis(d.name, args.order)
         payload["characters"] = [chi.to_json_dict() for _, chi in basis]
     if args.verify:
-        report = characters.verify_case(d.name, min(args.order, 25))
+        report = characters.verify_case(d.name, args.order)
         payload["verified"] = report["status"] == "verified"
         payload["report"] = report
         if not payload["verified"]:
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(ch_p)
 
     rep_p = sub.add_parser("reproduce")
-    common(rep_p)
+    common(rep_p, order=False)
     return p
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
@@ -169,8 +170,10 @@ def build_sharp(s: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
         weight=Q(0), provenance="sharp_s", parameter=(s,))
 
 
+@lru_cache(maxsize=64)
 def build_flat(s: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
-    """The fourth-order operator flat(s)."""
+    """The fourth-order operator flat(s).  Memoised: an operator is a
+    frozen tuple of frozen series, so callers share one safely."""
     s = rat(s)
     a1, a2, a3 = alphas(s)
     e2 = F.eisenstein_e2(order)

@@ -224,14 +224,20 @@ def verify_relation(r: RelationRecord, order: int) -> dict:
     if min(lhs.truncation, rhs.truncation) <= order:
         raise InsufficientOrder(
             f"{r.label}: operands only justified to q^{min(lhs.truncation, rhs.truncation)}")
-    diff = (lhs - rhs).truncate(order + Q(1, 2))
+    diff, cut = lhs - rhs, order + Q(1, 2)
+    # a difference that starts at or past the cut has no coefficient below it
+    bad = None
+    if diff.base < cut:
+        diff = diff.truncate(cut)
+        if not diff.is_zero_to_truncation():
+            bad = diff.leading()
     report = {"label": r.label, "formula": r.formula, "order": order}
     if r.note:
         report["note"] = r.note
-    if diff.is_zero_to_truncation():
+    if bad is None:
         report["status"] = "quarantined-but-holds" if r.quarantined else "verified"
     else:
-        e, residual = diff.leading()
+        e, residual = bad
         report["status"] = "quarantined" if r.quarantined else "failed"
         report["first_bad_exponent"] = rat_str(e)
         report["residual"] = rat_str(residual)

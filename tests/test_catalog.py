@@ -1,8 +1,10 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mldelab import catalog
+from mldelab import forms as F
 from mldelab.series import LogSeries, PuiseuxSeries, Q
 
 
@@ -115,3 +117,96 @@ def test_verification_report_shape(catalog_reports):
     by_label = {r["label"]: r for r in catalog_reports}
     rep = by_label["B.f.f0"]
     assert rep["status"] == "verified"
+
+
+# -- evaluate_polynomial against a term-by-term reference --------------
+
+def reference_evaluate(terms, values):
+    """Sum of the terms, each a product of powers built by repeated
+    multiplication (a power of one variable extends the next lower one)."""
+    powers = [[None, v] for v in values]
+    acc = None
+    for coeff, exps in terms:
+        term = None
+        for pw, e in zip(powers, exps):
+            while len(pw) <= e:
+                pw.append(pw[-1] * pw[1])
+            if e:
+                term = pw[e] if term is None else term * pw[e]
+        term = term.scale(coeff)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def expansion(f):
+    """(truncation, {exponent: nonzero coefficient}) of a series."""
+    return f.truncation, {f.base + Fr(i, f.grid): c
+                          for i, c in enumerate(f.coeffs) if c}
+
+
+def recipe_arguments(n):
+    """Every table name with the argument tuples the recipes pass it."""
+    p1, p2 = F.psi1(n), F.psi2(n)
+    i15, d15, i3 = F.i15(n), F.delta15(n), F.i3(n)
+    i3q5 = i3.substitute_power(5)
+    th, thq5 = F.theta(n), F.theta(n).substitute_power(5)
+    d4, d4q5 = F.delta4(n), F.delta4(n).substitute_power(5)
+    level3 = (i15, d15, i3, i3q5)
+    level3_neg = (-i15, -d15, i3, i3q5)
+    level4 = (th, thq5, p1.substitute_power(4) ** 5, p2.substitute_power(4) ** 5,
+              d4 ** 3 * d4q5)
+    args = {"G1": [level3, (i15, d15, -i3, -i3q5)],
+            "G4": [level3, level3_neg], "B.e.G": [level3, level3_neg],
+            "G7": [(th, thq5, p1 ** 5, p2 ** 5)], "G8": [(th, thq5, p1 ** 5, p2 ** 5)],
+            "G9": [level4], "G10": [level4]}
+    for name in ("G2", "G3", "G5", "G6"):
+        args[name] = [level3 + (p2 ** 5,)]
+    for name in catalog.polynomial_names():
+        if len(catalog.polynomial(name)["variables"]) == 2:
+            args[name] = [(p1, p2), (p2, -p1)]
+    return args
+
+
+@pytest.mark.parametrize("n", [0, 5, 20])
+def test_evaluate_polynomial_matches_reference(n):
+    args = recipe_arguments(n)
+    assert sorted(args) == sorted(catalog.polynomial_names())
+    for name, tuples in args.items():
+        terms = catalog.polynomial(name)["terms"]
+        for values in tuples:
+            got = catalog.evaluate_polynomial(name, values)
+            assert expansion(got) == expansion(reference_evaluate(terms, values)), name
+
+
+small_series = st.builds(
+    lambda base, grid, lead, tail: PuiseuxSeries.make(base, [lead] + tail, grid),
+    st.fractions(min_value=-1, max_value=1, max_denominator=6),
+    st.integers(1, 3),
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), max_size=6))
+
+
+@st.composite
+def binary_forms(draw):
+    """Terms of a homogeneous binary form: any exponents of y, zero
+    coefficients allowed, so a Horner sweep meets gaps and zero ends."""
+    degree = draw(st.integers(1, 12))
+    ys = draw(st.lists(st.integers(0, degree), min_size=1, max_size=6, unique=True))
+    return [(draw(st.integers(-5, 5)), [degree - y, y]) for y in ys]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(binary_forms(), small_series, small_series)
+def test_binary_form_matches_reference(terms, x, y):
+    rec = {"degree": sum(terms[0][1]), "variables": ["x", "y"], "terms": terms}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "polynomial", lambda name: rec)
+        got = catalog.evaluate_polynomial("random", (x, y))
+    want = reference_evaluate(terms, (x, y))
+    (t_got, got_cs), (t_want, want_cs) = expansion(got), expansion(want)
+    # the ratio carries the smaller relative precision of the two inputs
+    # into every term, so the result may be cut earlier, never later
+    if x.truncation - x.base == y.truncation - y.base:
+        assert t_got == t_want
+    assert t_got <= t_want
+    assert got_cs == {e: c for e, c in want_cs.items() if e < t_got}

@@ -93,6 +93,8 @@ def test_catalog_verify_single_s(capsys):
     (["--order", "12"], {12}),
     (["--group", "e"], {25}),
     (["--group", "a", "--order", "10"], {10}),
+    (["--group", "a", "--order", "0"], {0}),
+    (["--order", "0"], {0}),
 ])
 def test_forms_verify_order(capsys, argv, orders):
     code, payload = run_json(capsys, "forms", "verify", *argv)
@@ -107,11 +109,19 @@ def test_characters_exponents(capsys):
     assert payload["exponents"] == ["-1/10", "1/10", "3/10", "7/10"]
 
 
+def test_characters_verify_runs_at_order(capsys):
+    code, payload = run_json(capsys, "characters", "--algebra", "A2",
+                             "--verify", "--order", "40")
+    assert code == 0
+    assert payload["verified"] and payload["report"]["order"] == 40
+
+
 def test_usage_errors(capsys):
     assert cli.main(["solve", "--s", "6/5"]) == cli.EXIT_USAGE
     assert cli.main(["solve", "--s", "not-a-rational", "--alpha", "0"]) == cli.EXIT_USAGE
     assert cli.main(["catalog", "build"]) == cli.EXIT_USAGE
     assert cli.main(["characters"]) == cli.EXIT_USAGE
+    assert cli.main(["reproduce", "--order", "3"]) == cli.EXIT_USAGE
     capsys.readouterr()
 
 
