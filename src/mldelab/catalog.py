@@ -6,12 +6,14 @@ functions, the level 2-15 quotients) and the polynomial tables shipped in
 series; ``verify_entry`` checks the stored printed prefix coefficient by
 coefficient and then applies the entry's designated annihilating operator.
 
-The printed sources contain a handful of normalization slips; where the
-correct constant is forced (by the leading coefficient of the printed
-expansion together with the coefficient recursion, which is ground truth),
-the recipe carries the corrected constant and a note records the printed
-one.  Every entry is reconciled this way and verified; none is patched
-silently.
+No recipe carries a normalising constant.  Every plain entry is scaled to
+leading coefficient 1, as a solution of CFT type is, and each quasimodular
+solution a*D(P)/eta^m + b*Q/eta^m takes a : b from the operator's first
+residual that involves them (``_fit``).  The printed sources contain a
+handful of slips (constants, eta powers, signs, swapped formulas); where
+the coefficient recursion, which is ground truth, forces a correction, the
+recipe carries the corrected form and a note records the printed one.
+Every entry is reconciled this way and verified; none is patched silently.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from math import gcd
 from typing import Callable, Optional, Sequence
@@ -148,9 +150,17 @@ def _pol(name: str, *vals: PuiseuxSeries) -> PuiseuxSeries:
     return evaluate_polynomial(name, vals)
 
 
+def _unit(f: PuiseuxSeries) -> PuiseuxSeries:
+    """f scaled to leading coefficient 1, as a solution of CFT type is."""
+    return f.scale(1 / f.leading()[1])
+
+
 # -- recipe builders, one per subsection -------------------------------
 # Each returns {short_label: series}, everything exact to >= n orders
-# past each leading exponent (inputs are padded by the caller).
+# past each leading exponent (inputs are padded by the caller).  A recipe
+# carries no overall scale: the caller divides every plain entry by its
+# leading coefficient.  Constants that weigh one term against another
+# are part of the recipe and stay.
 
 def _bld_B_a(n):
     p1, p2 = F.psi1(n), F.psi2(n)
@@ -158,12 +168,12 @@ def _bld_B_a(n):
     em = _ep(Q(-42, 5), n)
     p1_5, p2_5 = p1**5, p2**5
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
-    f0 = p2 * d2 * (11 * p1_10 - 66 * cross - p2_10 + h2) * em / 12
-    f45 = p1 * d2 * (-p1_10 + 66 * cross + 11 * p2_10 + h2) * em / 84
+    f0 = p2 * d2 * (11 * p1_10 - 66 * cross - p2_10 + h2) * em
+    f45 = p1 * d2 * (-p1_10 + 66 * cross + 11 * p2_10 + h2) * em
     fm12 = p2 * (-h2 * h2 + 192 * d2 * d2
-                 + h2 * (22 * p1_10 - 132 * cross - 2 * p2_10)) * em / 21
+                 + h2 * (22 * p1_10 - 132 * cross - 2 * p2_10)) * em
     fm710 = p1 * (h2 * h2 - 192 * d2 * d2
-                  + h2 * (2 * p1_10 - 132 * cross - 22 * p2_10)) * em / 3
+                  + h2 * (2 * p1_10 - 132 * cross - 22 * p2_10)) * em
     return {"f0": f0, "f4/5": f45, "f-1/2": fm12, "f-7/10": fm710}
 
 
@@ -174,18 +184,18 @@ def _bld_B_b(n):
     d3 = F.delta3(n)
     em = _ep(Q(-32, 5), n)
     w = p2**5
-    fm815 = p1 * _pol("G1", i15, d15, i3, i3q5) * em / 16
-    fm13 = p2 * _pol("G1", i15, d15, -i3, -i3q5) * em / 128
-    f45 = p1 * _pol("G2", i15, d15, i3, i3q5, w) * em / (d3 * d3) / 936493073280
-    f0 = p2 * _pol("G3", i15, d15, i3, i3q5, w) * em / (d3 * d3) / 31216435776
+    fm815 = p1 * _pol("G1", i15, d15, i3, i3q5) * em
+    fm13 = p2 * _pol("G1", i15, d15, -i3, -i3q5) * em
+    f45 = p1 * _pol("G2", i15, d15, i3, i3q5, w) * em / (d3 * d3)
+    f0 = p2 * _pol("G3", i15, d15, i3, i3q5, w) * em / (d3 * d3)
     return {"f-8/15": fm815, "f-1/3": fm13, "f4/5": f45, "f0": f0}
 
 
 def _bld_B_c(n):
     p1, p2 = F.psi1(n), F.psi2(n)
     p1_5, p2_5 = p1**5, p2**5
-    f15 = (p1**4 * p2 * (p1_5 - 3 * p2_5)).integrate_q() / 5
-    f45 = (p1 * p2**4 * (12 * p1_5 + 4 * p2_5)).integrate_q() / 15
+    f15 = (p1**4 * p2 * (p1_5 - 3 * p2_5)).integrate_q()
+    f45 = (p1 * p2**4 * (12 * p1_5 + 4 * p2_5)).integrate_q()
     aux = (p1_5 * p1_5 - 36 * p1_5 * p2_5 - p2_5 * p2_5) * _ep(-4, n)
     return {"f0": PuiseuxSeries.one(n), "f1/5": f15, "f4/5": f45, "aux": aux}
 
@@ -195,8 +205,8 @@ def _bld_B_d(n):
     d4, d4q5 = F.delta4(n), F.delta4(n).substitute_power(5)
     e, ip1, ip2 = _ep(Q(-3, 5), n), F.psi1(n).pow(-1), F.psi2(n).pow(-1)
     return {
-        "f0": (th + thq5) * e * ip1 / 2,
-        "f4/5": (th - thq5) * e * ip2 / 2,
+        "f0": (th + thq5) * e * ip1,
+        "f4/5": (th - thq5) * e * ip2,
         "f1/4": (d4 + d4q5) * e * ip1,
         "f1/20": (d4 - d4q5) * e * ip2,
     }
@@ -211,10 +221,10 @@ def _bld_B_e(n):
     # without it the weight is 3 instead of 1 and the leading exponent is
     # off the printed value
     return {
-        "f0": (i15 - d15 + i3) * e * ip1 / 2,
-        "f4/5": (-i15 + d15 + i3) * e * ip2 / 6,
-        "f1/3": _pol("B.e.G", i15, d15, i3, i3q5) * e * ip1 / d3sq / 864,
-        "f2/15": _pol("B.e.G", -i15, -d15, i3, i3q5) * e * ip2 / d3sq / 432,
+        "f0": (i15 - d15 + i3) * e * ip1,
+        "f4/5": (-i15 + d15 + i3) * e * ip2,
+        "f1/3": _pol("B.e.G", i15, d15, i3, i3q5) * e * ip1 / d3sq,
+        "f2/15": _pol("B.e.G", -i15, -d15, i3, i3q5) * e * ip2 / d3sq,
     }
 
 
@@ -224,7 +234,7 @@ def _bld_B_f(n):
     p1_5, p2_5 = p1**5, p2**5
     return {
         "f0": p1 * (p1_5 + 2 * p2_5) * em,
-        "f1/5": p2 * (2 * p1_5 - p2_5) * em / 2,
+        "f1/5": p2 * (2 * p1_5 - p2_5) * em,
         "f2/5": p1**4 * p2**2 * em,
         "f4/5": p1**2 * p2**4 * em,
     }
@@ -242,12 +252,12 @@ def _bld_B_g(n):
     ip1, ip2 = p1.pow(-1), p2.pow(-1)
     return {
         # printed as 5*H2(q) + 19*H2(q^5); the recursion forces the swap
-        "f0": (body + 19 * h2 + 5 * h2q5) * em * ip1 / 40,
-        "f4/5": (-body + 21 * h2 - 5 * h2q5) * em * ip2 / 360,
+        "f0": (body + 19 * h2 + 5 * h2q5) * em * ip1,
+        "f4/5": (-body + 21 * h2 - 5 * h2q5) * em * ip2,
         "f1/2": (d2 * (5 * p1_5 + p2_5 + a5 - b5)
-                 + d2q5 * (7 * p1_5 - p2_5 - a5 - 7 * b5)) * em * p1.pow(-6) / 6,
+                 + d2q5 * (7 * p1_5 - p2_5 - a5 - 7 * b5)) * em * p1.pow(-6),
         "f3/10": (d2 * (-p1_5 + 5 * p2_5 + a5 + b5)
-                  + d2q5 * (p1_5 + 7 * p2_5 + 7 * a5 - b5)) * em * p2.pow(-6) / 2,
+                  + d2q5 * (p1_5 + 7 * p2_5 + 7 * a5 - b5)) * em * p2.pow(-6),
     }
 
 
@@ -258,9 +268,9 @@ def _bld_B_h(n):
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
     return {
         "f0": p1**2 * (p1_10 + 24 * cross - 6 * p2_10) * em,
-        "f2/5": p2**2 * (6 * p1_10 + 24 * cross - p2_10) * em / 6,
-        "f3/5": p1**4 * p2**3 * (4 * p1_5 + 3 * p2_5) * em / 4,
-        "f4/5": p1**3 * p2**4 * (3 * p1_5 - 4 * p2_5) * em / 3,
+        "f2/5": p2**2 * (6 * p1_10 + 24 * cross - p2_10) * em,
+        "f3/5": p1**4 * p2**3 * (4 * p1_5 + 3 * p2_5) * em,
+        "f4/5": p1**3 * p2**4 * (3 * p1_5 - 4 * p2_5) * em,
     }
 
 
@@ -273,12 +283,12 @@ def _bld_B_i(n):
     ip1, ip2 = p1.pow(-1), p2.pow(-1)
     w = p2**5
     return {
-        "f0": _pol("G4", i15, d15, i3, i3q5) * ip1 * e / 24,
-        "f4/5": _pol("G4", -i15, -d15, i3, i3q5) * ip2 * e / 504,
-        "f2/3": _pol("G5", i15, d15, i3, i3q5, w) * ip1 * e / d3 / 26309472,
+        "f0": _pol("G4", i15, d15, i3, i3q5) * ip1 * e,
+        "f4/5": _pol("G4", -i15, -d15, i3, i3q5) * ip2 * e,
+        "f2/3": _pol("G5", i15, d15, i3, i3q5, w) * ip1 * e / d3,
         # the printed denominator omits the eta power present in every
         # sibling entry; weight bookkeeping forces it
-        "f7/15": _pol("G6", i15, d15, i3, i3q5, w) * ip2 * e / d3 / 7516992,
+        "f7/15": _pol("G6", i15, d15, i3, i3q5, w) * ip2 * e / d3,
     }
 
 
@@ -291,10 +301,10 @@ def _bld_B_j(n):
     ip1, ip2, id4 = p1.pow(-1), p2.pow(-1), d4.invert()
     w = d4**3 * d4q5
     return {
-        "f0": _pol("G7", th, thq5, p1**5, p2**5) * ip1 * e / 10,
-        "f4/5": _pol("G8", th, thq5, p1**5, p2**5) * ip2 * e / 330,
-        "f3/4": _pol("G9", th, thq5, p1q4_5, p2q4_5, w) * ip1 * id4 * e / 9641984,
-        "f11/20": _pol("G10", th, thq5, p1q4_5, p2q4_5, w) * ip2 * id4 * e / 7888896,
+        "f0": _pol("G7", th, thq5, p1**5, p2**5) * ip1 * e,
+        "f4/5": _pol("G8", th, thq5, p1**5, p2**5) * ip2 * e,
+        "f3/4": _pol("G9", th, thq5, p1q4_5, p2q4_5, w) * ip1 * id4 * e,
+        "f11/20": _pol("G10", th, thq5, p1q4_5, p2q4_5, w) * ip2 * id4 * e,
     }
 
 
@@ -305,8 +315,8 @@ def _bld_B_k(n):
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
     p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
     f0 = p1**3 * (p1_15 + 126 * p1_10 * p2_5 + 117 * p1_5 * p2_10 - 12 * p2_15) * em
-    f35 = p2**3 * (12 * p1_15 + 117 * p1_10 * p2_5 - 126 * p1_5 * p2_10 + p2_15) * em / 12
-    f45 = p1**4 * p2**4 * (9 * p1_10 + 26 * cross - 9 * p2_10) * em / 9
+    f35 = p2**3 * (12 * p1_15 + 117 * p1_10 * p2_5 - 126 * p1_5 * p2_10 + p2_15) * em
+    f45 = p1**4 * p2**4 * (9 * p1_10 + 26 * cross - 9 * p2_10) * em
     log = frobenius_solve_log(build_flat(6, n + 2), Q(1, 2), n)
     return {"f0": f0, "f3/5": f35, "f4/5": f45, "log": log}
 
@@ -317,14 +327,16 @@ def _bld_B_l(n):
     p1_10, p2_10 = p1_5 * p1_5, p2_5 * p2_5
     p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
     em = _ep(Q(-38, 5), n)
-    f0 = p1**4 * (p1_15 + 171 * p1_10 * p2_5 + 247 * p1_5 * p2_10 - 57 * p2_15) * em
-    f45 = p2**4 * (57 * p1_15 + 247 * p1_10 * p2_5 - 171 * p1_5 * p2_10 + p2_15) * em / 57
+    f0 = _unit(p1**4 * (p1_15 + 171 * p1_10 * p2_5 + 247 * p1_5 * p2_10
+                        - 57 * p2_15) * em)
+    f45 = _unit(p2**4 * (57 * p1_15 + 247 * p1_10 * p2_5 - 171 * p1_5 * p2_10
+                         + p2_15) * em)
     e4m = _ep(-4, n)
     e185 = _ep(Q(18, 5), n)
     f56 = (30 * f45 * (p1**4 * p2 * (p1_5 - 3 * p2_5) * e4m)
-           - f0 * (f45 * e185 * p2).integrate_q()) * Q(5, 144)
+           - f0 * (f45 * e185 * p2).integrate_q())
     f1930 = (10 * f0 * (p1 * p2**4 * (3 * p1_5 + p2_5) * e4m) / 19
-             - f45 * (f0 * e185 * p1).integrate_q()) * Q(19, 144)
+             - f45 * (f0 * e185 * p1).integrate_q())
     return {"f0": f0, "f4/5": f45, "f5/6": f56, "f19/30": f1930}
 
 
@@ -334,9 +346,9 @@ def _bld_B_m(n):
     return {
         "f0": _pol("B.m.P", p1, p2) * em,
         # printed denominator "3 eta^22" has the wrong weight; eta^12 is forced
-        "f4/5": _pol("B.m.Q", p1, p2) * em / 3,
-        "f1": _pol("B.m.R", p1, p2) * em / 132,
-        "f6/5": _pol("B.m.S", p1, p2) * em / 22,
+        "f4/5": _pol("B.m.Q", p1, p2) * em,
+        "f1": _pol("B.m.R", p1, p2) * em,
+        "f6/5": _pol("B.m.S", p1, p2) * em,
     }
 
 
@@ -348,8 +360,8 @@ def _bld_B_n(n):
     return {
         "f-4/5": _pol("G11", p1, p2) * em,
         "f0": PuiseuxSeries.one(n),
-        "f4/5": _pol("G12", p1, p2) * em / 4959,
-        "f1": _pol("G13", p1, p2) * em / 4408,
+        "f4/5": _pol("G12", p1, p2) * em,
+        "f1": _pol("G13", p1, p2) * em,
     }
 
 
@@ -359,10 +371,10 @@ def _bld_B_o(n):
     return {
         # printed with a global minus sign, contradicting its own leading
         # coefficient +1; the unsigned form is the solution
-        "f-1/5": _pol("B.o.P", p1, p2) * em / 4,
+        "f-1/5": _pol("B.o.P", p1, p2) * em,
         "f0": _pol("B.o.Q", p1, p2) * em,
-        "f4/5": _pol("B.o.R", p1, p2) * em / 1653,
-        "f8/5": _pol("B.o.S", p1, p2) * em / 551,
+        "f4/5": _pol("B.o.R", p1, p2) * em,
+        "f8/5": _pol("B.o.S", p1, p2) * em,
     }
 
 
@@ -376,18 +388,18 @@ def _bld_B_p(n):
         # printed bracket psi1^5(2psi1^5+11psi2^5) misses the +4psi2^10
         # term; with it the series is the unique resonant solution at 0
         # with a1 = 33/2 (checked against the recursion)
-        "f0": p1 * p2 * (2 * p1_10 + 11 * cross + 4 * p2_10) * em / 2,
-        "f1/5": p2**2 * (11 * p1_10 - 66 * cross - p2_10) * em / 11,
+        "f0": p1 * p2 * (2 * p1_10 + 11 * cross + 4 * p2_10) * em,
+        "f1/5": p2**2 * (11 * p1_10 - 66 * cross - p2_10) * em,
         # printed bracket has -2psi2^5; +2 is forced by the recursion
-        "f1": p1 * p2**6 * (11 * p1_5 + 2 * p2_5) * em / 11,
+        "f1": p1 * p2**6 * (11 * p1_5 + 2 * p2_5) * em,
     }
 
 
 def _bld_B_q(n):
     p1, p2 = F.psi1(n), F.psi2(n)
     e25 = _ep(Q(-2, 5), n)
-    f0 = p2 * e25
-    fm15 = p1 * e25
+    f0 = _unit(p2 * e25)
+    fm15 = _unit(p1 * e25)
     p1_5, p2_5 = p1**5, p2**5
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
     p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
@@ -395,14 +407,14 @@ def _bld_B_q(n):
     e14m, e4m = _ep(-14, n), _ep(-4, n)
     fm16 = (30 * p1**7 * p2**3 * (p1_5 - 3 * p2_5) * br2 * e14m
             - f0 * (p1_5 * (p1_15 + 171 * p1_10 * p2_5 + 247 * p1_5 * p2_10
-                            - 57 * p2_15) * e4m).integrate_q()) * Q(1, 36)
+                            - 57 * p2_15) * e4m).integrate_q())
     # printed second integrand starts with psi1^5, whose leading exponent
     # would put the product at q^(-11/60) instead of the printed q^(49/60);
     # the psi2^5 companion bracket is forced
     f1930 = (10 * p1**3 * p2**7 * (3 * p1_5 + p2_5) * br2 * e14m
              - fm15 * (p2_5 * (57 * p1_15 + 247 * p1_10 * p2_5
                                - 171 * p1_5 * p2_10 + p2_15) * e4m
-                       / 3).integrate_q()) * Q(5, 36)
+                       / 3).integrate_q())
     return {"f0": f0, "f-1/5": fm15, "f-1/6": fm16, "f19/30": f1930}
 
 
@@ -410,82 +422,82 @@ def _bld_B_q(n):
 # Each is F = a*D(P(u,v)) / eta^m + b*Q(u,v) / eta^m with (u,v) either
 # (psi1, psi2) or (psi2, -psi1); the depth-1 structure gives the log
 # companion G = ell*F + 12*A with 12*A = a*(deg P/5) * P(u,v) / eta^m.
+# The operator fixes a : b and the leading coefficient 1 fixes the scale,
+# so neither constant is stored: ``_fit`` derives both.
 
-def _qm(n, pname: str, qname: str, a: Fraction, b: Fraction, m: Fraction,
-        swapped: bool):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    u, v = (p2, -p1) if swapped else (p1, p2)
+#: whole steps past their base at which the fit cuts its two terms
+_FIT_STEPS = 3
+
+
+def _fit(s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries) -> tuple[Fraction, Fraction]:
+    """(a, b) such that flat(s) annihilates a*x + b*y at the first exponent
+    where the residuals of x and y are not both zero; that residual, a few
+    steps past the base, is all the fit reads."""
+    cut = min(x.base, y.base) + _FIT_STEPS
+    rx, ry = (build_flat(s, _FIT_STEPS).apply(t.truncate(cut)) for t in (x, y))
+    e = min(r.leading()[0] for r in (rx, ry) if not r.is_zero_to_truncation())
+    return ry.coefficient(e), -rx.coefficient(e)
+
+
+def _qm(s: Fraction, m: Fraction, p: PuiseuxSeries, q: PuiseuxSeries,
+        degree: int, n: int):
+    """(F, G) for P(u,v) = p and Q(u,v) = q of the given degree in (u, v).
+    The terms of a*x + b*y cancel up to the entry's exponent, so the scale
+    is read off the whole sum."""
     em = _ep(-m, n)
-    pv = _pol(pname, u, v)
-    qv = _pol(qname, u, v)
-    f = pv.euler_derivative() * em * a + qv * em * b
-    deg = polynomial(pname)["degree"]
-    twelve_a = pv * em * (a * Q(deg, 5))
+    x, y = p.euler_derivative() * em, q * em
+    a, b = _fit(s, x, y)
+    f = x * a + y * b
+    lead = f.leading()[1]
+    f, a = f.scale(1 / lead), a / lead
+    twelve_a = p * em * (a * Q(degree, 5))
     return f, LogSeries(twelve_a, f.truncate(twelve_a.truncation))
 
 
-def _bld_C_a(n):
-    # the printed first term of f0 (constant and eta^(192/5)) duplicates
-    # the sibling family one parameter up; the constant below is the
-    # unique exact fit against the recursion, and both terms divide by
-    # eta^(312/5)
-    f0, g0 = _qm(n, "F1", "F2", Q(1, 2180493648693360),
-                 Q(1, 419325701671800), Q(312, 5), False)
-    # printed with both constants positive, which yields -1 as leading
-    # coefficient; the negated pair is the exact fit
-    f45, g45 = _qm(n, "F1", "F2", Q(-1, 28346417433013680),
-                   Q(-1, 5451234121733400), Q(312, 5), True)
-    return {"f0": f0, "f4/5": f45, "g0": g0, "g4/5": g45}
+def _section_parameter(section: str) -> Fraction:
+    return ENTRIES[f"{section}.f0"].s
 
 
-# In the next two families the printed f0 and f4/5 formulas are attached
-# to the wrong exponents: with the substitutions and constants exchanged
-# wholesale, both printed expansions are reproduced exactly.
-
-def _bld_C_b(n):
-    f0, g0 = _qm(n, "F3", "F4", Q(1, 4236824592), Q(1, 1324007685),
-                 Q(192, 5), True)
-    f45, g45 = _qm(n, "F3", "F4", Q(1, 50841895104), Q(1, 15888092220),
-                   Q(192, 5), False)
-    return {"f0": f0, "f4/5": f45, "g0": g0, "g4/5": g45}
+#: section -> (P table, Q table, eta power m, the entry at (psi2, -psi1));
+#: the entries' notes record the printed slips these rows absorb
+_QUASIMODULAR: dict[str, tuple[str, str, Fraction, str]] = {
+    "C.a": ("F1", "F2", Q(312, 5), "f4/5"),
+    "C.b": ("F3", "F4", Q(192, 5), "f0"),
+    "C.c": ("C.c.P", "C.c.Q", Q(132, 5), "f0"),
+    "C.d": ("C.d.P", "C.d.Q", Q(72, 5), "f4/5"),
+}
 
 
-def _bld_C_c(n):
-    f0, g0 = _qm(n, "C.c.P", "C.c.Q", Q(1, 4396392), Q(1, 1998360),
-                 Q(132, 5), True)
-    f45, g45 = _qm(n, "C.c.P", "C.c.Q", Q(1, 48360312), Q(1, 21981960),
-                   Q(132, 5), False)
-    return {"f0": f0, "f4/5": f45, "g0": g0, "g4/5": g45}
-
-
-def _bld_C_d(n):
-    f0, g0 = _qm(n, "C.d.P", "C.d.Q", Q(1, 2604), Q(-1, 2170),
-                 Q(72, 5), False)
-    # the printed f_{4/5} lacks the derivative on P; without it the term
-    # has weight -1, not 1, so the prime is forced
-    f45, g45 = _qm(n, "C.d.P", "C.d.Q", Q(-1, 23436), Q(1, 19530),
-                   Q(72, 5), True)
-    return {"f0": f0, "f4/5": f45, "g0": g0, "g4/5": g45}
+def _bld_C(section: str, n: int) -> dict:
+    pname, qname, m, swapped = _QUASIMODULAR[section]
+    s = _section_parameter(section)
+    p1, p2 = F.psi1(n), F.psi2(n)
+    out = {}
+    for name in ("f0", "f4/5"):
+        u, v = (p2, -p1) if name == swapped else (p1, p2)
+        out[name], out["g" + name[1:]] = _qm(
+            s, m, _pol(pname, u, v), _pol(qname, u, v),
+            polynomial(pname)["degree"], n)
+    return out
 
 
 def _bld_C_e(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    em = _ep(Q(-12, 5), n)
-    f0 = p2.euler_derivative() * em * 5
-    f45 = p1.euler_derivative() * em * Q(5, 3)
-    g0 = LogSeries(p2 * em, f0)
-    g45 = LogSeries(p1 * em / 3, f45)
+    # P = Q = v, of degree 1; the fit finds b = 0
+    s, p1, p2 = _section_parameter("C.e"), F.psi1(n), F.psi2(n)
+    f0, g0 = _qm(s, Q(12, 5), p2, p2, 1, n)
+    f45, g45 = _qm(s, Q(12, 5), -p1, -p1, 1, n)
     return {"f0": f0, "f4/5": f45, "g0": g0, "g4/5": g45}
 
 
 def _bld_C_f(n):
-    # the printed constant 28 under f0 makes the leading coefficient 57/7
-    # instead of 1; the recursion forces 228
-    f0, g0 = _qm(n, "psi-bracket-2", "psi-bracket-2", Q(5, 228), Q(0),
-                 Q(48, 5), False)
-    f15, g15 = _qm(n, "psi-bracket-1", "psi-bracket-1", Q(5, 912), Q(0),
-                   Q(48, 5), False)
-    return {"f0": f0, "f1/5": f15, "g0": g0, "g1/5": g15}
+    # P = Q, and the fit finds b = 0; f0's a = 5/228 is printed with 28
+    s, p1, p2 = _section_parameter("C.f"), F.psi1(n), F.psi2(n)
+    out = {}
+    for name, table in (("f0", "psi-bracket-2"), ("f1/5", "psi-bracket-1")):
+        pv = _pol(table, p1, p2)
+        out[name], out["g" + name[1:]] = _qm(
+            s, Q(48, 5), pv, pv, polynomial(table)["degree"], n)
+    return out
 
 
 _BUILDERS: dict[str, Callable[[int], dict]] = {
@@ -493,8 +505,8 @@ _BUILDERS: dict[str, Callable[[int], dict]] = {
     "B.e": _bld_B_e, "B.f": _bld_B_f, "B.g": _bld_B_g, "B.h": _bld_B_h,
     "B.i": _bld_B_i, "B.j": _bld_B_j, "B.k": _bld_B_k, "B.l": _bld_B_l,
     "B.m": _bld_B_m, "B.n": _bld_B_n, "B.o": _bld_B_o, "B.p": _bld_B_p,
-    "B.q": _bld_B_q, "C.a": _bld_C_a, "C.b": _bld_C_b, "C.c": _bld_C_c,
-    "C.d": _bld_C_d, "C.e": _bld_C_e, "C.f": _bld_C_f,
+    "B.q": _bld_B_q, "C.e": _bld_C_e, "C.f": _bld_C_f,
+    **{section: partial(_bld_C, section) for section in _QUASIMODULAR},
 }
 
 #: subsections whose recipes substitute q^4 or q^5 into a form (costlier)
@@ -713,7 +725,9 @@ _MARGIN = 16
 
 @lru_cache(maxsize=64)
 def _built_section(section: str, order: int) -> dict:
-    return _BUILDERS[section](order + _MARGIN)
+    built = _BUILDERS[section](order + _MARGIN)
+    return {name: _unit(f) if isinstance(f, PuiseuxSeries) else f
+            for name, f in built.items()}
 
 
 def build_entry(label: str, order: int) -> SeriesLike:
@@ -801,61 +815,38 @@ def verify_all(order: Optional[int] = None) -> list[dict]:
 
 # -- fundamental systems ----------------------------------------------
 
-#: s -> (section, plain labels, extra log construction site or None)
-_SYSTEMS: dict[Fraction, tuple[str, tuple[str, ...], Optional[Fraction]]] = {
-    Q(-48, 5): ("B.a", ("f0", "f4/5", "f-1/2", "f-7/10"), None),
-    Q(-38, 5): ("B.b", ("f-8/15", "f-1/3", "f4/5", "f0"), None),
-    Q(-6, 5): ("B.c", ("f0", "f1/5", "f4/5"), Q(0)),
-    Q(-3, 5): ("B.d", ("f0", "f4/5", "f1/4", "f1/20"), None),
-    Q(2, 5): ("B.e", ("f0", "f4/5", "f1/3", "f2/15"), None),
-    Q(6, 5): ("B.f", ("f0", "f1/5", "f2/5", "f4/5"), None),
-    Q(12, 5): ("B.g", ("f0", "f4/5", "f1/2", "f3/10"), None),
-    Q(18, 5): ("B.h", ("f0", "f2/5", "f3/5", "f4/5"), None),
-    Q(22, 5): ("B.i", ("f0", "f4/5", "f2/3", "f7/15"), None),
-    Q(27, 5): ("B.j", ("f0", "f4/5", "f3/4", "f11/20"), None),
-    Q(6): ("B.k", ("f0", "f3/5", "f4/5", "log"), None),
-    Q(32, 5): ("B.l", ("f0", "f4/5", "f5/6", "f19/30"), None),
-    Q(54, 5): ("B.m", ("f0", "f4/5", "f1", "f6/5"), None),
-    Q(18): ("B.n", ("f-4/5", "f0", "f4/5", "f1"), None),
-    Q(-66, 5): ("B.o", ("f-1/5", "f0", "f4/5", "f8/5"), None),
-    Q(-6): ("B.p", ("f-1/5", "f0", "f1/5", "f1"), None),
-    Q(-8, 5): ("B.q", ("f0", "f-1/5", "f-1/6", "f19/30"), None),
-    Q(-318, 5): ("C.a", ("f0", "f4/5", "g0", "g4/5"), None),
-    Q(-198, 5): ("C.b", ("f0", "f4/5", "g0", "g4/5"), None),
-    Q(-138, 5): ("C.c", ("f0", "f4/5", "g0", "g4/5"), None),
-    Q(-78, 5): ("C.d", ("f0", "f4/5", "g0", "g4/5"), None),
-    Q(-18, 5): ("C.e", ("f0", "f4/5", "g0", "g4/5"), None),
-    Q(42, 5): ("C.f", ("f0", "f1/5", "g0", "g1/5"), None),
-}
+#: s -> the exponent of the one Frobenius log solution that completes the
+#: catalogued system (B.c's plain entries are three)
+_EXTRA_LOG: dict[Fraction, Fraction] = {Q(-6, 5): Q(0)}
+
+
+def _system_labels(s: Fraction) -> list[str]:
+    """Every entry at s except a third-order companion's."""
+    return [lb for lb, e in ENTRIES.items() if e.s == s and e.operator != "aux3"]
 
 
 def catalogued_parameters() -> tuple[Fraction, ...]:
-    return tuple(sorted(_SYSTEMS))
+    return tuple(sorted({e.s for e in ENTRIES.values()}))
 
 
 def has_plain_system(s: QLike) -> bool:
     """True when the four catalogued solutions are all plain power series."""
     s = rat(s)
-    if s not in _SYSTEMS:
-        return False
-    section, names, extra = _SYSTEMS[s]
-    return extra is None and not any(n.startswith("g") or n == "log"
-                                     for n in names)
+    names = _system_labels(s)
+    return (bool(names) and s not in _EXTRA_LOG
+            and all(ENTRIES[lb].operator == "flat" for lb in names))
 
 
 def fundamental_system(s: QLike, order: int) -> list[tuple[Fraction, SeriesLike]]:
     """Four independent solutions as (leading exponent, series), sorted."""
     s = rat(s)
-    if s not in _SYSTEMS:
+    names = _system_labels(s)
+    if not names:
         raise NotInCandidateList(f"no catalogued system for s = {s}")
-    section, names, extra = _SYSTEMS[s]
-    out = []
-    for name in names:
-        label = f"{section}.{name}"
-        out.append((entry(label).exponent, build_entry(label, order)))
-    if extra is not None:
-        log = frobenius_solve_log(build_flat(s, order + 2), extra, order)
-        out.append((extra, log))
+    out = [(ENTRIES[lb].exponent, build_entry(lb, order)) for lb in names]
+    if s in _EXTRA_LOG:
+        log = frobenius_solve_log(build_flat(s, order + 2), _EXTRA_LOG[s], order)
+        out.append((_EXTRA_LOG[s], log))
     return sorted(out, key=lambda t: t[0])
 
 

@@ -476,13 +476,15 @@ def verify_case(name: str, order: int = 25) -> dict:
         ops.append(("sharp", build_sharp(mu(Q(19, 5)), order + 2)))
     for e, chi in chars:
         lead = chi.coefficient(e)
+        cut = e + order - 2
         for tag, o in ops:
             r = o.apply(chi)
-            if any(c != 0 for c in r.truncate(e + order - 2).coeffs):
+            # a residual that starts at or past the cut has nothing below it
+            if r.base < cut and any(c != 0 for c in r.truncate(cut).coeffs):
                 report["status"] = "failed"
                 report["detail"] = f"character at {e} not annihilated ({tag})"
                 return report
-        f = frobenius_solve(op, e, order - 1)
+        f = frobenius_solve(op, e, max(order - 1, 0))
         if any(chi.coefficient(e + k) / lead != f.coefficient(e + k)
                for k in range(order - 1)):
             report["status"] = "failed"

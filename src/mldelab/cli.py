@@ -183,10 +183,7 @@ def cmd_catalog(args) -> int:
     if args.catalog_cmd == "build":
         if not args.label:
             raise UsageError("catalog build requires --label")
-        try:
-            series = catalog.build_entry(args.label, args.order)
-        except catalog.UnknownLabel as exc:
-            raise UsageError(str(exc))
+        series = catalog.build_entry(args.label, args.order)
         _emit({"label": args.label, "series": series.to_json_dict()},
               args.format)
         return EXIT_OK
@@ -360,7 +357,7 @@ def main(argv=None) -> int:
         if (getattr(args, "order", 0) or 0) < 0:
             raise UsageError(f"order must be non-negative, got {args.order}")
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, catalog.UnknownLabel) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InsufficientOrder as exc:

@@ -210,3 +210,52 @@ def test_binary_form_matches_reference(terms, x, y):
         assert t_got == t_want
     assert t_got <= t_want
     assert got_cs == {e: c for e, c in want_cs.items() if e < t_got}
+
+
+# -- derived scales against the constants they replaced ----------------
+
+#: label -> (P, Q, eta power m, substituted at (psi2, -psi1), a, b): the
+#: quasimodular recipes with the constants they once stored, which the
+#: fit now derives.  "u" is the first variable itself, of degree 1.
+STORED_CONSTANTS = {
+    "C.a.f0": ("F1", "F2", Q(312, 5), False,
+               Q(1, 2180493648693360), Q(1, 419325701671800)),
+    "C.a.f4/5": ("F1", "F2", Q(312, 5), True,
+                 Q(-1, 28346417433013680), Q(-1, 5451234121733400)),
+    "C.b.f0": ("F3", "F4", Q(192, 5), True, Q(1, 4236824592), Q(1, 1324007685)),
+    "C.b.f4/5": ("F3", "F4", Q(192, 5), False, Q(1, 50841895104), Q(1, 15888092220)),
+    "C.c.f0": ("C.c.P", "C.c.Q", Q(132, 5), True, Q(1, 4396392), Q(1, 1998360)),
+    "C.c.f4/5": ("C.c.P", "C.c.Q", Q(132, 5), False, Q(1, 48360312), Q(1, 21981960)),
+    "C.d.f0": ("C.d.P", "C.d.Q", Q(72, 5), False, Q(1, 2604), Q(-1, 2170)),
+    "C.d.f4/5": ("C.d.P", "C.d.Q", Q(72, 5), True, Q(-1, 23436), Q(1, 19530)),
+    "C.e.f0": ("u", "u", Q(12, 5), True, Q(5), Q(0)),
+    "C.e.f4/5": ("u", "u", Q(12, 5), False, Q(5, 3), Q(0)),
+    "C.f.f0": ("psi-bracket-2", "psi-bracket-2", Q(48, 5), False, Q(5, 228), Q(0)),
+    "C.f.f1/5": ("psi-bracket-1", "psi-bracket-1", Q(48, 5), False, Q(5, 912), Q(0)),
+}
+
+
+def rebuild_with_stored_constants(label, n):
+    """(F, G) = (a*D(P)/eta^m + b*Q/eta^m, ell*F + a*(deg P/5)*P/eta^m)."""
+    pname, qname, m, swapped, a, b = STORED_CONSTANTS[label]
+    p1, p2 = F.psi1(n), F.psi2(n)
+    u, v = (p2, -p1) if swapped else (p1, p2)
+
+    def value(name):
+        return u if name == "u" else catalog.evaluate_polynomial(name, (u, v))
+
+    degree = 1 if pname == "u" else catalog.polynomial(pname)["degree"]
+    em = F.eta(n).pow(-m)
+    p, q = value(pname), value(qname)
+    f = p.euler_derivative() * em * a + q * em * b
+    twelve_a = p * em * (a * Q(degree, 5))
+    return f, LogSeries(twelve_a, f.truncate(twelve_a.truncation))
+
+
+@pytest.mark.parametrize("order", [0, 8, 40])
+def test_fit_reproduces_stored_constants(order):
+    for label in STORED_CONSTANTS:
+        f, g = rebuild_with_stored_constants(label, order + catalog._MARGIN)
+        assert catalog.build_entry(label, order) == f, label
+        section, _, short = label.rpartition(".")
+        assert catalog.build_entry(f"{section}.g{short[1:]}", order) == g, label

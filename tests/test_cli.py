@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -116,10 +117,21 @@ def test_characters_verify_runs_at_order(capsys):
     assert payload["verified"] and payload["report"]["order"] == 40
 
 
+@pytest.mark.parametrize("order", ["0", "1", "2"])
+def test_characters_verify_at_low_order(capsys, order):
+    # the residual is cut at or below its base: nothing to compare
+    code, payload = run_json(capsys, "characters", "--algebra", "A2",
+                             "--verify", "--order", order)
+    assert code == 0
+    assert payload["verified"] and payload["report"]["order"] == int(order)
+
+
 def test_usage_errors(capsys):
     assert cli.main(["solve", "--s", "6/5"]) == cli.EXIT_USAGE
     assert cli.main(["solve", "--s", "not-a-rational", "--alpha", "0"]) == cli.EXIT_USAGE
     assert cli.main(["catalog", "build"]) == cli.EXIT_USAGE
+    assert cli.main(["catalog", "build", "--label", "nope"]) == cli.EXIT_USAGE
+    assert cli.main(["catalog", "verify", "--label", "nope"]) == cli.EXIT_USAGE
     assert cli.main(["characters"]) == cli.EXIT_USAGE
     assert cli.main(["reproduce", "--order", "3"]) == cli.EXIT_USAGE
     capsys.readouterr()
@@ -260,3 +272,10 @@ def test_apply_annihilates_solution_file(capsys, tmp_path, extra):
     out = payload["series"]
     assert set(out["coeffs"]) == {"0"}
     assert set(out.get("log_coeffs", ["0"])) == {"0"}
+
+
+def test_reproduce_output_is_pinned(capsys):
+    # every check's report, byte for byte as committed in tests/data
+    code, out = run(capsys, "reproduce")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "reproduce.json").read_text()
