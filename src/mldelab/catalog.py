@@ -3,8 +3,9 @@
 Each entry is a recipe over the named forms (eta, theta, Rogers-Ramanujan
 functions, the level 2-15 quotients) and the polynomial tables shipped in
 ``data/polynomials.json``.  ``build_entry`` evaluates a recipe to an exact
-series; ``verify_entry`` checks the stored printed prefix coefficient by
-coefficient and then applies the entry's designated annihilating operator.
+series; ``verify_entry`` checks the stored printed prefix and then applies
+the entry's designated annihilating operator, and reports a failure with
+its first bad exponent and residual instead of raising.
 
 No recipe carries a normalising constant.  Every plain entry is scaled to
 leading coefficient 1, as a solution of CFT type is, and each quasimodular
@@ -30,7 +31,7 @@ from . import forms as F
 from .mlde import (MLDEOperator, build_custom, build_flat, flat_indicial_roots,
                    frobenius_solve, frobenius_solve_log, modular_wronskian)
 from .series import (InsufficientOrder, LogSeries, PuiseuxSeries, Q, QLike,
-                     SeriesLike, rat)
+                     SeriesLike, rat, rat_str)
 
 
 class UnknownLabel(KeyError):
@@ -435,7 +436,7 @@ def _fit(s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries) -> tuple[Fraction, Fra
     steps past the base, is all the fit reads."""
     cut = min(x.base, y.base) + _FIT_STEPS
     rx, ry = (build_flat(s, _FIT_STEPS).apply(t.truncate(cut)) for t in (x, y))
-    e = min(r.leading()[0] for r in (rx, ry) if not r.is_zero_to_truncation())
+    e = min(lead for lead in (rx.first_nonzero(), ry.first_nonzero()) if lead)[0]
     return ry.coefficient(e), -rx.coefficient(e)
 
 
@@ -764,53 +765,44 @@ def designated_operator(label: str, order: int) -> MLDEOperator:
 
 # -- verification ------------------------------------------------------
 
-def _residual_leading(r: SeriesLike):
-    """(exponent, value) of the first nonzero residual coefficient, or None."""
-    parts = [r] if isinstance(r, PuiseuxSeries) else [r.plain, r.log_part]
-    leads = [p.leading() for p in parts if not p.is_zero_to_truncation()]
-    # on a tie in the exponent, the plain part is reported
-    return min(leads, key=lambda lead: lead[0]) if leads else None
-
-
 def default_verification_order(label: str) -> int:
     return 25 if entry(label).section in _SUBSTITUTING else 40
 
 
 def verify_entry(label: str, order: Optional[int] = None) -> dict:
-    """Prefix check then annihilation check; returns a report dict."""
+    """Prefix check then annihilation check; returns a report dict whose
+    status is 'verified', or 'failed' with the first bad exponent, the
+    residual there and a detail line."""
     e = entry(label)
     if order is None:
         order = default_verification_order(label)
     report = {"label": label, "s": str(e.s), "order": order}
-    f = build_entry(label, order)
-    series = f.plain if (isinstance(f, LogSeries) and e.operator == "log"
-                         and e.printed_prefix) else f
-    if e.printed_prefix is not None:
-        probe = series if isinstance(series, PuiseuxSeries) else series.plain
-        for k, want in enumerate(e.printed_prefix):
-            got = probe.coefficient(e.exponent + k)
-            if got != want:
-                raise PrefixMismatch(label, e.exponent + k, got, want)
-        report["prefix"] = f"{len(e.printed_prefix)} printed coefficients match"
-    op = designated_operator(label, order + 6)
-    r = op.apply(f)
-    bad = _residual_leading(r)
-    if bad is not None:
-        raise NotAnnihilated(label, bad[0], bad[1])
-    report["status"] = "verified"
     if e.note:
         report["note"] = e.note
+    f = build_entry(label, order)
+    if e.printed_prefix is not None:
+        probe = f.plain if isinstance(f, LogSeries) else f
+        printed = PuiseuxSeries.make(e.exponent, e.printed_prefix)
+        bad = (probe - printed).first_nonzero(e.exponent + len(e.printed_prefix))
+        if bad is not None:
+            got = probe.coefficient(bad[0])
+            return _failed(report, bad, PrefixMismatch(label, bad[0], got, got - bad[1]))
+        report["prefix"] = f"{len(e.printed_prefix)} printed coefficients match"
+    bad = designated_operator(label, order + 6).apply(f).first_nonzero()
+    if bad is not None:
+        return _failed(report, bad, NotAnnihilated(label, *bad))
+    report["status"] = "verified"
+    return report
+
+
+def _failed(report: dict, bad: tuple[Fraction, Fraction], exc: ArithmeticError) -> dict:
+    report.update(status="failed", detail=str(exc),
+                  first_bad_exponent=rat_str(bad[0]), residual=rat_str(bad[1]))
     return report
 
 
 def verify_all(order: Optional[int] = None) -> list[dict]:
-    out = []
-    for label in ENTRIES:
-        try:
-            out.append(verify_entry(label, order))
-        except (PrefixMismatch, NotAnnihilated) as exc:
-            out.append({"label": label, "status": "failed", "detail": str(exc)})
-    return out
+    return [verify_entry(label, order) for label in ENTRIES]
 
 
 # -- fundamental systems ----------------------------------------------
@@ -865,10 +857,7 @@ def wronskian_over_eta24(s: QLike, order: int = 25):
     lead_e, lead_c = ratio.leading()
     if lead_e != 0:
         return lead_c, False
-    ok = all(c == 0 for i, c in enumerate(ratio.coeffs)
-             if ratio.base + Q(i, ratio.grid) != 0
-             and ratio.base + Q(i, ratio.grid) <= order)
-    return lead_c, ok
+    return lead_c, (ratio - lead_c).first_nonzero(order + 1) is None
 
 
 # -- the non-negativity remark for the four formal parameters ----------

@@ -9,22 +9,31 @@ characters.  Its decimal exponent, like that of a coefficient in an
 ``apply --series`` file, is at most 100 in magnitude.  Anything larger is
 a usage error, refused before the value is built.
 
-Without ``--order``, ``forms verify`` runs each relation group at its
-order in ``relations.GROUP_ORDERS`` (50 for a-d, 25 for e-g) and
-``catalog verify`` each entry at ``catalog.default_verification_order``
-(25 or 40).  The other commands use ``MLDE_DEFAULT_ORDER``, or 50;
-``characters --verify`` checks at that order too.  ``reproduce`` runs
-every check at its documented order and takes no ``--order``.
+``--order`` and ``classify --depth`` are integers of at most MAX_ORDER
+(1000); ``--order`` is at least 0 and ``--depth`` at least 1.  Without
+``--order``, ``forms verify`` runs each relation group at its order in
+``relations.GROUP_ORDERS`` (50 for a-d, 25 for e-g) and ``catalog verify``
+each entry at ``catalog.default_verification_order`` (25 or 40).  The
+other commands use order 50; ``characters --verify`` checks at that order
+too.  ``reproduce`` runs every check at its documented order and takes no
+``--order``.
 
-Exit codes: 0 success, 2 verification failure or no such solution,
-3 usage error, 4 insufficient order.
+Only the commands with a table rendering take ``--format``: ``forms
+verify``, ``indicial``, ``classify``, ``catalog list``, ``catalog verify``
+and ``characters``.  ``catalog verify`` takes at most one of ``--all``,
+``--label`` and ``--s``, and ``classify`` at most one of ``--all`` and
+``--case``; ``--depth`` needs ``--case``.  A flag a command does not take
+is a usage error.
+
+Exit codes: 0 success, 2 verification failure (a failing relation, catalog
+entry or character check) or no such solution, 3 usage error,
+4 insufficient order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -33,7 +42,8 @@ from . import catalog, characters, classify, forms, relations
 from .mlde import (InconsistentResonance, NoLogNeeded, NotIndicialRoot, Resonance,
                    build_flat, flat_indicial_roots, frobenius_solve,
                    frobenius_solve_log, indicial)
-from .series import InsufficientOrder, parse_rat, rat_str, series_from_json_dict
+from .series import (DEFAULT_ORDER, InsufficientOrder, parse_rat, rat_str,
+                     series_from_json_dict)
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -43,19 +53,26 @@ EXIT_ORDER = 4
 #: the most characters a rational argument may have
 RAT_ARG_CHARS = 100
 
-
-def default_order() -> int:
-    env = os.environ.get("MLDE_DEFAULT_ORDER")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"MLDE_DEFAULT_ORDER must be an integer, got {env!r}")
-    return 50
+#: the largest --order or --depth; the slowest command there, `catalog
+#: verify --all`, takes about 9 minutes (README)
+MAX_ORDER = 1000
 
 
 class UsageError(Exception):
     pass
+
+
+def _bounded(low: int):
+    """An argument type: an integer in low..MAX_ORDER, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text[:20]!r}")
+        if not low <= n <= MAX_ORDER:
+            raise argparse.ArgumentTypeError(f"expected {low}..{MAX_ORDER}, got {n}")
+        return n
+    return parse
 
 
 def _rat(text: str) -> Fraction:
@@ -67,12 +84,16 @@ def _rat(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}")
 
 
-def _emit(payload, fmt: str, table_lines=None) -> None:
-    if fmt == "table" and table_lines is not None:
+def _json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit(payload, fmt: str, table_lines) -> None:
+    if fmt == "table":
         for line in table_lines:
             print(line)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _json(payload)
 
 
 def _set_notation(values) -> str:
@@ -87,7 +108,7 @@ def cmd_forms(args) -> int:
             series = forms.form(args.name, args.order)
         except KeyError as exc:
             raise UsageError(str(exc))
-        _emit({"name": args.name, "series": series.to_json_dict()}, args.format)
+        _json({"name": args.name, "series": series.to_json_dict()})
         return EXIT_OK
     # verify
     groups = [args.group] if args.group else relations.GROUP_ORDERS
@@ -131,7 +152,7 @@ def cmd_solve(args) -> int:
         "s": rat_str(args.s), "alpha": rat_str(args.alpha),
         "order": args.order, "series": sol.to_json_dict(),
     }
-    _emit(payload, args.format)
+    _json(payload)
     return EXIT_OK
 
 
@@ -147,18 +168,18 @@ def cmd_apply(args) -> int:
         raise UsageError(f"{args.series} holds no series: {exc}")
     op = build_flat(args.s, args.order + 2)
     out = op.apply(f)
-    _emit({"s": rat_str(args.s), "series": out.to_json_dict()}, args.format)
+    _json({"s": rat_str(args.s), "series": out.to_json_dict()})
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    if args.all or args.case is None:
+    if args.case is None:
+        if args.depth is not None:
+            raise UsageError("--depth needs --case")
         final = classify.classify_all()
         payload = {"final": [rat_str(v) for v in final]}
         _emit(payload, args.format, [_set_notation(final)])
         return EXIT_OK
-    if args.depth is not None and args.depth < 1:
-        raise UsageError(f"--depth must be a positive integer, got {args.depth}")
     case = classify.CASES[args.case]
     report = classify.filter_candidates(case, depth=args.depth)
     payload = {
@@ -184,8 +205,7 @@ def cmd_catalog(args) -> int:
         if not args.label:
             raise UsageError("catalog build requires --label")
         series = catalog.build_entry(args.label, args.order)
-        _emit({"label": args.label, "series": series.to_json_dict()},
-              args.format)
+        _json({"label": args.label, "series": series.to_json_dict()})
         return EXIT_OK
     # verify
     if args.label:
@@ -216,7 +236,7 @@ def cmd_characters(args) -> int:
         "exponents": [rat_str(e) for e in d.ramond_exponents],
     }
     status = EXIT_OK
-    if d.verification == "full" and d.name not in ("G2", "F4"):
+    if d.verification == "full":
         basis = characters.ramond_character_basis(d.name, args.order)
         payload["characters"] = [chi.to_json_dict() for _, chi in basis]
     if args.verify:
@@ -257,7 +277,7 @@ def cmd_reproduce(args) -> int:
         ok &= chars[name]["verified"]
     report["characters"] = chars
     report["ok"] = bool(ok)
-    _emit(report, args.format)
+    _json(report)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -277,61 +297,66 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mldelab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, order=True):
+    def table(sp):
         sp.add_argument("--format", choices=("json", "table"), default="json")
-        if order:
-            sp.add_argument("--order", type=int, default=None)
+
+    def order(sp, default=DEFAULT_ORDER):
+        sp.add_argument("--order", type=_bounded(0), default=default)
 
     forms_p = sub.add_parser("forms")
     forms_sub = forms_p.add_subparsers(dest="forms_cmd", required=True)
     dump_p = forms_sub.add_parser("dump")
     dump_p.add_argument("--name", required=True)
-    common(dump_p)
+    order(dump_p)
     fv_p = forms_sub.add_parser("verify")
     fv_p.add_argument("--group", choices=tuple("abcdefg"), default=None)
-    common(fv_p)
+    order(fv_p, default=None)
+    table(fv_p)
 
     ind_p = sub.add_parser("indicial")
     ind_p.add_argument("--s", type=_rat, required=True)
-    common(ind_p, order=False)
+    table(ind_p)
 
     solve_p = sub.add_parser("solve")
     solve_p.add_argument("--s", type=_rat, required=True)
     solve_p.add_argument("--alpha", type=_rat, default=None)
     solve_p.add_argument("--log", action="store_true")
-    common(solve_p)
+    order(solve_p)
 
     apply_p = sub.add_parser("apply")
     apply_p.add_argument("--s", type=_rat, required=True)
     apply_p.add_argument("--series", default=None)
-    common(apply_p)
+    order(apply_p)
 
     cls_p = sub.add_parser("classify")
-    cls_p.add_argument("--case", type=int, choices=(1, 2, 3, 4), default=None)
-    cls_p.add_argument("--depth", type=int, default=None)
-    cls_p.add_argument("--all", action="store_true")
-    common(cls_p, order=False)
+    which = cls_p.add_mutually_exclusive_group()
+    which.add_argument("--case", type=int, choices=(1, 2, 3, 4), default=None)
+    which.add_argument("--all", action="store_true")
+    cls_p.add_argument("--depth", type=_bounded(1), default=None)
+    table(cls_p)
 
     cat_p = sub.add_parser("catalog")
     cat_sub = cat_p.add_subparsers(dest="catalog_cmd", required=True)
     cl_p = cat_sub.add_parser("list")
-    common(cl_p, order=False)
+    table(cl_p)
     cb_p = cat_sub.add_parser("build")
     cb_p.add_argument("--label", default=None)
-    common(cb_p)
+    order(cb_p)
     cv_p = cat_sub.add_parser("verify")
-    cv_p.add_argument("--label", default=None)
-    cv_p.add_argument("--s", type=_rat, default=None)
-    cv_p.add_argument("--all", action="store_true")
-    common(cv_p)
+    which = cv_p.add_mutually_exclusive_group()
+    which.add_argument("--label", default=None)
+    which.add_argument("--s", type=_rat, default=None)
+    which.add_argument("--all", action="store_true")
+    order(cv_p, default=None)
+    table(cv_p)
 
     ch_p = sub.add_parser("characters")
     ch_p.add_argument("--algebra", default=None)
     ch_p.add_argument("--verify", action="store_true")
-    common(ch_p)
+    order(ch_p)
+    table(ch_p)
 
-    rep_p = sub.add_parser("reproduce")
-    common(rep_p, order=False)
+    sub.add_parser("reproduce")
     return p
 
 
@@ -350,12 +375,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # without --order a verify command runs each check at its documented order
-        verify = "verify" in (getattr(args, "forms_cmd", None), getattr(args, "catalog_cmd", None))
-        if hasattr(args, "order") and args.order is None and not verify:
-            args.order = default_order()
-        if (getattr(args, "order", 0) or 0) < 0:
-            raise UsageError(f"order must be non-negative, got {args.order}")
         return _HANDLERS[args.command](args)
     except (UsageError, catalog.UnknownLabel) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ a3 = (s-18)(s+6)(5s+6)^2/8294400, and the second-order family
 
   sharp(s): D^2 - (1/6)*E2*D - s*E4.
 
-The weighted variant flat(s, k) is expressed through iterated Serre
-derivations and expanded into D-powers by operator composition; at k = 0
-it reproduces flat(s) coefficient-by-coefficient.
+The weight-k variant flat(s, k) is applied, not expanded: iterated Serre
+derivations of the input plus Eisenstein multiples (``flat_weighted_apply``);
+at k = 0 it equals flat(s).
 
 Solving is by the Frobenius recursion: writing f = q^alpha sum a_n q^n and
 collecting the coefficient of q^(alpha+n) gives
@@ -100,7 +100,6 @@ class MLDEOperator:
     """sum(coefficients[j] * D^j); monic: coefficients[-1] == 1."""
 
     coefficients: tuple[PuiseuxSeries, ...]
-    weight: Fraction = Q(0)
     provenance: str = "custom"
     parameter: Optional[tuple] = None
 
@@ -124,42 +123,6 @@ class MLDEOperator:
         return tuple(c.coefficient(0) for c in self.coefficients)
 
 
-def _op_identity(order: int) -> MLDEOperator:
-    return MLDEOperator((PuiseuxSeries.one(order),))
-
-
-def _op_compose_serre(op: MLDEOperator, w: Fraction, order: int) -> MLDEOperator:
-    """theta_w composed after op, expanded into D-powers."""
-    e2 = F.eisenstein_e2(order)
-    n = op.order
-    zero = PuiseuxSeries.zero(order)
-    new = [zero] * (n + 2)
-    for j, c in enumerate(op.coefficients):
-        new[j] = new[j] + c.euler_derivative() - (e2 * c).truncate(c.truncation).scale(Q(w) / 12)
-        new[j + 1] = new[j + 1] + c
-    return MLDEOperator(tuple(t.truncate(order + 1) for t in new))
-
-
-def _op_add(a: MLDEOperator, b: MLDEOperator) -> MLDEOperator:
-    n = max(a.order, b.order)
-    cs = []
-    for j in range(n + 1):
-        ca = a.coefficients[j] if j <= a.order else None
-        cb = b.coefficients[j] if j <= b.order else None
-        if ca is None:
-            cs.append(cb)
-        elif cb is None:
-            cs.append(ca)
-        else:
-            cs.append(ca + cb)
-    return MLDEOperator(tuple(cs))
-
-
-def _op_scale(op: MLDEOperator, g: PuiseuxSeries) -> MLDEOperator:
-    return MLDEOperator(tuple((g * c).truncate(min(g.truncation, c.truncation))
-                              for c in op.coefficients))
-
-
 def build_sharp(s: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
     """The second-order operator D^2 - (1/6)E2*D - s*E4."""
     s = rat(s)
@@ -167,7 +130,7 @@ def build_sharp(s: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
         (F.eisenstein_e4(order).scale(-s),
          F.eisenstein_e2(order).scale(Q(-1, 6)),
          PuiseuxSeries.one(order)),
-        weight=Q(0), provenance="sharp_s", parameter=(s,))
+        provenance="sharp_s", parameter=(s,))
 
 
 @lru_cache(maxsize=64)
@@ -186,29 +149,11 @@ def build_flat(s: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
            + e4.euler_derivative().scale(a1 / 2) - e6.scale(a2))
     c0 = e8.scale(a3)
     return MLDEOperator((c0, c1, c2, c3, PuiseuxSeries.one(order)),
-                        weight=Q(0), provenance="flat_s", parameter=(s,))
+                        provenance="flat_s", parameter=(s,))
 
 
-def build_flat_weighted(s: QLike, k: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
-    """The weight-k variant; equals build_flat(s) at k = 0."""
-    s, k = rat(s), rat(k)
-    a1, a2, a3 = alphas(s)
-    ident = _op_identity(order)
-    theta1 = _op_compose_serre(ident, k, order)
-    theta2 = _op_compose_serre(theta1, k + 2, order)
-    theta3 = _op_compose_serre(theta2, k + 4, order)
-    theta4 = _op_compose_serre(theta3, k + 6, order)
-    e4 = F.eisenstein_e4(order)
-    e6 = F.eisenstein_e6(order)
-    e8 = F.eisenstein_e8(order).truncate(order + 1)
-    op = _op_add(theta4, _op_scale(theta2, e4.scale(a1 - Q(11, 36))))
-    op = _op_add(op, _op_scale(theta1, e6.scale((36 * a1 + 216 * a2 - 5) / 216)))
-    op = _op_add(op, _op_scale(ident, e8.scale(a3)))
-    return MLDEOperator(op.coefficients, weight=k, provenance="flat_s_k", parameter=(s, k))
-
-
-def build_custom(coefficients: Sequence[PuiseuxSeries], weight: QLike = 0,
-                 provenance: str = "custom", parameter: Optional[tuple] = None) -> MLDEOperator:
+def build_custom(coefficients: Sequence[PuiseuxSeries], provenance: str = "custom",
+                 parameter: Optional[tuple] = None) -> MLDEOperator:
     """Monic operator of order <= 4 from explicit coefficient series."""
     cs = tuple(coefficients)
     if len(cs) - 1 > 4:
@@ -217,7 +162,7 @@ def build_custom(coefficients: Sequence[PuiseuxSeries], weight: QLike = 0,
     if top.base != 0 or top.coefficient(0) != 1 or any(
             c for c in top.coeffs[1:]):
         raise ValueError("operator must be monic in the top D-power")
-    return MLDEOperator(cs, weight=rat(weight), provenance=provenance, parameter=parameter)
+    return MLDEOperator(cs, provenance=provenance, parameter=parameter)
 
 
 def serre_derivation(f: SeriesLike, k: QLike, iterations: int = 1) -> SeriesLike:
@@ -228,6 +173,25 @@ def serre_derivation(f: SeriesLike, k: QLike, iterations: int = 1) -> SeriesLike
         f = f.euler_derivative() - (e2 * f).scale(k / 12)
         k += 2
     return f
+
+
+def flat_weighted_apply(s: QLike, k: QLike, f: SeriesLike) -> SeriesLike:
+    """The weight-k form of flat(s) applied to f:
+
+      theta^4(f) + (a1 - 11/36)*E4*theta^2(f)
+      + ((36*a1 + 216*a2 - 5)/216)*E6*theta(f) + a3*E8*f,
+
+    with theta^n the n-fold Serre derivation from weight k; at k = 0 it
+    equals build_flat(s).apply(f) identically."""
+    s, k = rat(s), rat(k)
+    a1, a2, a3 = alphas(s)
+    order = int(f.truncation - f.base) + 2
+    t1 = serre_derivation(f, k)
+    t2 = serre_derivation(t1, k + 2)
+    t4 = serre_derivation(t2, k + 4, 2)
+    return (t4 + (F.eisenstein_e4(order) * t2).scale(a1 - Q(11, 36))
+            + (F.eisenstein_e6(order) * t1).scale((36 * a1 + 216 * a2 - 5) / 216)
+            + (F.eisenstein_e8(order) * f).scale(a3))
 
 
 # -- indicial analysis ------------------------------------------------
@@ -312,7 +276,7 @@ def indicial(op: MLDEOperator) -> IndicialReport:
     over the rationals.
     """
     poly = op.indicial_coefficients()
-    if op.provenance in ("flat_s", "flat_s_k") and op.weight == 0:
+    if op.provenance == "flat_s":
         roots = list(flat_indicial_roots(op.parameter[0]))
         # cross-check the closed form against the generic extraction
         generic, rem = _rational_roots(poly)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import forms as F
-from .series import InsufficientOrder, PuiseuxSeries, Q, rat_str
+from .series import PuiseuxSeries, Q, rat_str
 
 _TOKEN = re.compile(r"\d+|[A-Za-z]\w*|\S")
 
@@ -213,7 +213,8 @@ def get_relation(label: str) -> RelationRecord:
 
 
 def verify_relation(r: RelationRecord, order: int) -> dict:
-    """Check one relation coefficient-by-coefficient up to q^order.
+    """Check one relation through q^order: its verdict is the first nonzero
+    coefficient of lhs - rhs below q^(order + 1/2), if any.
 
     Returns a report dict: {label, status, formula, note,
     first_bad_exponent?, residual?}.  Status is 'verified', 'failed', or
@@ -221,16 +222,7 @@ def verify_relation(r: RelationRecord, order: int) -> dict:
     """
     lhs_text, rhs_text = r.formula.split("=")
     lhs, rhs = evaluate(lhs_text, order), evaluate(r.evaluated_rhs or rhs_text, order)
-    if min(lhs.truncation, rhs.truncation) <= order:
-        raise InsufficientOrder(
-            f"{r.label}: operands only justified to q^{min(lhs.truncation, rhs.truncation)}")
-    diff, cut = lhs - rhs, order + Q(1, 2)
-    # a difference that starts at or past the cut has no coefficient below it
-    bad = None
-    if diff.base < cut:
-        diff = diff.truncate(cut)
-        if not diff.is_zero_to_truncation():
-            bad = diff.leading()
+    bad = (lhs - rhs).first_nonzero(order + Q(1, 2))
     report = {"label": r.label, "formula": r.formula, "order": order}
     if r.note:
         report["note"] = r.note

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Q = Fraction
 
@@ -171,12 +171,28 @@ class PuiseuxSeries:
         """Exponent t such that the series is exact modulo q^t."""
         return self.base + Q(len(self.coeffs), self.grid)
 
-    def leading(self) -> tuple[Fraction, Fraction]:
-        """(exponent, coefficient) of the first nonzero stored term."""
+    def first_nonzero(self, below: Optional[QLike] = None
+                      ) -> Optional[tuple[Fraction, Fraction]]:
+        """(exponent, coefficient) of the first nonzero stored term below
+        `below` (the truncation if omitted), or None if there is none.
+        Every check reads its verdict here; a `below` past the truncation
+        raises InsufficientOrder, since no coefficient there is justified."""
+        below = self.truncation if below is None else rat(below)
+        if below > self.truncation:
+            raise InsufficientOrder(
+                f"no verdict below q^{below}: exact only to q^{self.truncation}")
         for i, c in enumerate(self.coeffs):
             if c:
-                return self.base + Q(i, self.grid), c
-        raise SeriesError("series is zero to its truncation order")
+                e = self.base + Q(i, self.grid)
+                return (e, c) if e < below else None
+        return None
+
+    def leading(self) -> tuple[Fraction, Fraction]:
+        """(exponent, coefficient) of the first nonzero stored term."""
+        lead = self.first_nonzero()
+        if lead is None:
+            raise SeriesError("series is zero to its truncation order")
+        return lead
 
     def coefficient(self, e: QLike) -> Fraction:
         """Exact coefficient of q^e; raises past the truncation."""
@@ -369,8 +385,8 @@ class PuiseuxSeries:
         grid = self.grid
         cs = self.coeffs
         if n.denominator != 1:
-            grid = lcm(grid, n.denominator)
-            step = grid // self.grid
+            grid = self.grid * n.denominator
+            step = n.denominator
             expanded = [Q(0)] * (len(cs) * step)
             for i, c in enumerate(cs):
                 expanded[i * step] = c
@@ -503,6 +519,14 @@ class LogSeries:
 
     def is_zero_to_truncation(self) -> bool:
         return self.plain.is_zero_to_truncation() and self.log_part.is_zero_to_truncation()
+
+    def first_nonzero(self, below: Optional[QLike] = None
+                      ) -> Optional[tuple[Fraction, Fraction]]:
+        """The earlier of the two parts' first nonzero terms below `below`
+        (each part's own truncation if omitted); the plain part's on a tie."""
+        leads = [lead for lead in (self.plain.first_nonzero(below),
+                                   self.log_part.first_nonzero(below)) if lead]
+        return min(leads, key=lambda lead: lead[0]) if leads else None
 
     def to_json_dict(self) -> dict:
         base = self.base

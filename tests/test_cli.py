@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mldelab import cli
+from mldelab import catalog, cli
 from mldelab.series import series_from_json_dict
 
 
@@ -126,6 +127,21 @@ def test_characters_verify_at_low_order(capsys, order):
     assert payload["verified"] and payload["report"]["order"] == int(order)
 
 
+@pytest.mark.parametrize("selector", [["--label", "B.f.f0"], ["--s", "6/5"], ["--all"]])
+def test_catalog_verify_failure_is_reported(monkeypatch, capsys, selector):
+    # a misprinted prefix (68 -> 69 at q^(29/10)) fails every selector with
+    # exit 2 and a report, not a traceback
+    bad = dataclasses.replace(catalog.entry("B.f.f0"), printed_prefix=(1, 8, 23, 69))
+    monkeypatch.setitem(catalog.ENTRIES, "B.f.f0", bad)
+    code, payload = run_json(capsys, "catalog", "verify", *selector)
+    assert code == cli.EXIT_VERIFY
+    assert payload["failed"] == 1
+    [rep] = [r for r in payload["reports"] if r["status"] == "failed"]
+    assert rep["label"] == "B.f.f0"
+    assert rep["first_bad_exponent"] == "29/10" and rep["residual"] == "-1"
+    assert rep["detail"] == "B.f.f0: coefficient at q^29/10 is 68, printed 69"
+
+
 def test_usage_errors(capsys):
     assert cli.main(["solve", "--s", "6/5"]) == cli.EXIT_USAGE
     assert cli.main(["solve", "--s", "not-a-rational", "--alpha", "0"]) == cli.EXIT_USAGE
@@ -134,6 +150,20 @@ def test_usage_errors(capsys):
     assert cli.main(["catalog", "verify", "--label", "nope"]) == cli.EXIT_USAGE
     assert cli.main(["characters"]) == cli.EXIT_USAGE
     assert cli.main(["reproduce", "--order", "3"]) == cli.EXIT_USAGE
+    # --format only where a table rendering exists
+    assert cli.main(["solve", "--s", "6/5", "--alpha", "-1/10",
+                     "--format", "table"]) == cli.EXIT_USAGE
+    assert cli.main(["reproduce", "--format", "table"]) == cli.EXIT_USAGE
+    # mutually exclusive selectors; --depth needs --case
+    assert cli.main(["catalog", "verify", "--all", "--label", "B.f.f0"]) == cli.EXIT_USAGE
+    assert cli.main(["classify", "--all", "--case", "2"]) == cli.EXIT_USAGE
+    assert cli.main(["classify", "--depth", "4"]) == cli.EXIT_USAGE
+    # the size cap on --order and --depth, refused before any work
+    assert cli.main(["catalog", "build", "--label", "C.a.f0",
+                     "--order", str(cli.MAX_ORDER + 1)]) == cli.EXIT_USAGE
+    assert cli.main(["classify", "--case", "2",
+                     "--depth", str(cli.MAX_ORDER + 1)]) == cli.EXIT_USAGE
+    assert cli.main(["forms", "dump", "--name", "psi1", "--order", "x"]) == cli.EXIT_USAGE
     capsys.readouterr()
 
 
@@ -156,14 +186,10 @@ def test_verification_failure_exit(capsys):
     capsys.readouterr()
 
 
-def test_default_order_env(monkeypatch, capsys):
-    monkeypatch.setenv("MLDE_DEFAULT_ORDER", "4")
+def test_default_order_is_fixed(capsys):
     code, payload = run_json(capsys, "solve", "--s", "6/5", "--alpha", "-1/10")
     assert code == 0
-    assert payload["order"] == 4
-    monkeypatch.setenv("MLDE_DEFAULT_ORDER", "zebra")
-    assert cli.main(["solve", "--s", "6/5", "--alpha", "-1/10"]) == cli.EXIT_USAGE
-    capsys.readouterr()
+    assert payload["order"] == 50
 
 
 def test_deterministic_output(capsys):

@@ -6,8 +6,8 @@ from mldelab import forms as F
 from mldelab.mlde import (SHARP_FACTORIZATIONS, InconsistentResonance,
                           MLDEOperator, NoLogNeeded, NotIndicialRoot,
                           Resonance, alphas, build_custom,
-                          build_flat, build_flat_weighted, build_sharp,
-                          factored_apply, flat_indicial_roots,
+                          build_flat, build_sharp, factored_apply,
+                          flat_indicial_roots, flat_weighted_apply,
                           frobenius_solve, frobenius_solve_log, indicial,
                           modular_wronskian, mu, serre_derivation)
 from mldelab.series import LogSeries, PuiseuxSeries, Q
@@ -179,21 +179,24 @@ def test_apply_indicial_polynomial():
     assert lead[0] == Q(1, 3)
 
 
+#: five distinct bases: agreeing on q^b for each pins all five coefficient
+#: series c_j of sum c_j D^j, since L(q^b) = sum_j c_j b^j q^b
+WEIGHT_PROBES = (Q(0), Q(1, 5), Q(-1, 2), Q(4, 3), Q(-7, 4))
+
+
 def test_weighted_equals_plain_at_k0():
-    a = build_flat(Q(6, 5), 12)
-    b = build_flat_weighted(Q(6, 5), 0, 12)
-    for ca, cb in zip(a.coefficients, b.coefficients):
-        t = min(ca.truncation, cb.truncation)
-        assert (ca.truncate(t) - cb.truncate(t)).is_zero_to_truncation()
+    op = build_flat(Q(6, 5), 12)
+    for b in WEIGHT_PROBES:
+        f = PuiseuxSeries.q_power(b, 12)
+        diff = flat_weighted_apply(Q(6, 5), 0, f) - op.apply(f)
+        assert diff.first_nonzero() is None, b
 
 
 def test_weighted_annihilates_level5_solution():
     # weight-6/5 solution psi1(psi1^5 + 2 psi2^5)
     p1, p2 = F.psi1(30), F.psi2(30)
     f = p1 * (p1.pow(5) + p2.pow(5).scale(2))
-    op = build_flat_weighted(Q(6, 5), Q(6, 5), 28)
-    res = op.apply(f)
-    assert res.truncate(24).is_zero_to_truncation()
+    assert flat_weighted_apply(Q(6, 5), Q(6, 5), f).first_nonzero(24) is None
 
 
 def test_serre_derivation_basics():

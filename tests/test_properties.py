@@ -3,11 +3,12 @@
 from fractions import Fraction
 from math import floor
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mldelab import forms as F
-from mldelab.mlde import build_flat, build_flat_weighted, serre_derivation
-from mldelab.series import PuiseuxSeries, Q
+from mldelab.mlde import build_flat, flat_weighted_apply, serre_derivation
+from mldelab.series import InsufficientOrder, PuiseuxSeries, Q
 
 SET = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -92,14 +93,48 @@ def test_eta_conjugation(base, xs, k, ell):
 params = st.fractions(min_value=Fraction(-15), max_value=Fraction(15),
                       max_denominator=5)
 
+#: L(q^b) = sum_j c_j b^j q^b: five distinct bases pin all five c_j
+probe_bases = (Q(0), Q(1, 5), Q(-1, 2), Q(4, 3), Q(-7, 4))
+
 
 @SET
 @given(params)
 def test_weighted_at_zero_matches(s):
-    a = build_flat(s, 8)
-    b = build_flat_weighted(s, 0, 8)
-    for ca, cb in zip(a.coefficients, b.coefficients):
-        assert eq(ca, cb)
+    op = build_flat(s, 8)
+    for b in probe_bases:
+        f = PuiseuxSeries.q_power(b, 8)
+        assert eq(flat_weighted_apply(s, 0, f), op.apply(f))
+
+
+# -- suite 5b: first_nonzero against truncate-then-scan ---------------
+#
+# The reference cuts the series at `below` with truncate (which refuses a
+# cut past the truncation, and one at or below the base, where nothing is
+# left to scan) and scans what is left; it shares no scan with
+# first_nonzero.
+
+def first_nonzero_by_truncation(s: PuiseuxSeries, below: Fraction):
+    if below <= s.base:
+        return None
+    t = s.truncate(below)
+    return next(((t.base + Q(i, t.grid), c) for i, c in enumerate(t.coeffs) if c), None)
+
+
+sparse_coeffs = st.lists(st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2, 3)]),
+                         min_size=1, max_size=8)
+
+
+@SET
+@given(small_rational, st.sampled_from([1, 2, 3]), sparse_coeffs, small_rational)
+def test_first_nonzero_matches_truncation(base, grid, xs, offset):
+    s = PuiseuxSeries.make(base, xs, grid)
+    below = s.base + offset + 1
+    if below > s.truncation:
+        with pytest.raises(InsufficientOrder):
+            s.first_nonzero(below)
+    else:
+        assert s.first_nonzero(below) == first_nonzero_by_truncation(s, below)
+    assert s.first_nonzero() == first_nonzero_by_truncation(s, s.truncation)
 
 
 # -- suite 6: the integer kernel against a Fraction schoolbook --------

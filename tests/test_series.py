@@ -92,6 +92,37 @@ def test_leading_zero_series():
     assert z.is_zero_to_truncation()
 
 
+def test_first_nonzero_edges():
+    assert PuiseuxSeries.zero(5).first_nonzero() is None
+    assert PuiseuxSeries.zero(5).first_nonzero(3) is None
+    f = PuiseuxSeries.make(Q(1, 2), [0, 0, 7, 1], grid=2)   # 7 q^(3/2) + q^2
+    assert f.truncation == Q(5, 2)
+    assert f.first_nonzero() == (Q(3, 2), 7)
+    assert f.first_nonzero(Q(-4)) is None          # below the base
+    assert f.first_nonzero(1) is None              # before the first term
+    assert f.first_nonzero(Q(3, 2)) is None        # at it: `below` is strict
+    assert f.first_nonzero(Q(8, 5)) == (Q(3, 2), 7)
+    assert f.first_nonzero(Q(5, 2)) == (Q(3, 2), 7)   # at the truncation
+    with pytest.raises(InsufficientOrder):
+        f.first_nonzero(Q(13, 5))                  # past the truncation
+    assert f.leading() == f.first_nonzero()
+
+
+def test_log_first_nonzero_takes_the_earlier_part():
+    plain = PuiseuxSeries.make(1, [2, 1])
+    early = PuiseuxSeries.make(Q(1, 2), [5, 0, 0])
+    assert LogSeries(plain, early).first_nonzero() == (Q(1, 2), 5)
+    assert LogSeries(early, plain).first_nonzero() == (Q(1, 2), 5)
+    # on a tie the plain part is reported
+    assert LogSeries(plain, plain.scale(3)).first_nonzero() == (1, 2)
+    assert LogSeries(plain.scale(3), plain).first_nonzero() == (1, 6)
+    assert LogSeries(plain, early).first_nonzero(Q(1, 2)) is None
+    zero = PuiseuxSeries.zero(3)
+    assert LogSeries(zero, zero).first_nonzero() is None
+    with pytest.raises(InsufficientOrder):
+        LogSeries(plain, early).first_nonzero(4)
+
+
 def test_cft_type():
     good = PuiseuxSeries.make(Q(-1, 10), [1, 8, 23, 68])
     assert good.is_cft_type(3)
@@ -133,3 +164,12 @@ def test_truncate_cannot_extend():
         f.truncate(10)
     g = f.truncate(1)
     assert g.truncation == 1
+
+
+def test_truncate_between_grid_points():
+    # a cut off the grid refines it, even when its denominator divides the grid
+    f = PuiseuxSeries.make(0, [1, 2, 3, 4], grid=2)
+    g = f.truncate(Q(5, 4))
+    assert g.truncation == Q(5, 4)
+    assert g.coefficient(1) == 3
+    assert f.truncate(Q(1, 4)).coefficient(0) == 1
