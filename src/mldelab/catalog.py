@@ -80,8 +80,10 @@ def evaluate_polynomial(name: str, values: Sequence[PuiseuxSeries]) -> PuiseuxSe
     A homogeneous binary form (every two-variable table: degree up to 161,
     exponents stepping by 5) is evaluated by Horner's rule in a ratio, one
     product per term, with no power chain; see ``_binary_form``.  Any other
-    table takes each distinct power of a variable once, by the ``pow``
-    recurrence, and one product per term.
+    table takes each distinct power of a variable once, in increasing
+    order, by one product of the next lower stored power and the power of
+    the gap (a fresh ``pow`` only when that gap is not stored), and one
+    product per term.
     """
     rec = polynomial(name)
     if len(values) != len(rec["variables"]):
@@ -90,15 +92,20 @@ def evaluate_polynomial(name: str, values: Sequence[PuiseuxSeries]) -> PuiseuxSe
     degrees = {sum(exps) for _, exps in terms}
     if len(values) == 2 and len(degrees) == 1:
         return _binary_form(terms, degrees.pop(), values)
-    powers: dict[tuple[int, int], PuiseuxSeries] = {}
+    powers: list[dict[int, PuiseuxSeries]] = []
+    for i, x in enumerate(values):
+        row, prev = {1: x}, 1
+        for e in sorted({exps[i] for _, exps in terms if exps[i] > 1}):
+            gap = e - prev
+            row[e] = row[prev] * row[gap] if gap in row else x.pow(e)
+            prev = e
+        powers.append(row)
     acc = None
     for coeff, exps in terms:
         term: Optional[PuiseuxSeries] = None
         for i, e in enumerate(exps):
             if e:
-                if (i, e) not in powers:
-                    powers[i, e] = values[i].pow(e)
-                term = powers[i, e] if term is None else term * powers[i, e]
+                term = powers[i][e] if term is None else term * powers[i][e]
         term = PuiseuxSeries.make(0, [coeff]) if term is None else term.scale(coeff)
         acc = term if acc is None else acc + term
     return acc
@@ -875,4 +882,4 @@ def remark_solution(s: QLike, order: int = 99) -> PuiseuxSeries:
 
 def remark_holds(s: QLike, order: int = 99) -> bool:
     f = remark_solution(s, order)
-    return all(c.denominator == 1 and c >= 0 for c in f.coeffs)
+    return f.den == 1 and all(x >= 0 for x in f.nums)

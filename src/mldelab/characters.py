@@ -208,10 +208,10 @@ def _theta_cached(lat: IntegralLattice, order: int) -> PuiseuxSeries:
         raise ArithmeticError("empty coset enumeration")
     base = min(counts)
     grid = lcm(*((e - base).denominator for e in counts))
-    coeffs = [Q(0)] * (int((order - base) * grid) + 1)
+    nums = [0] * (int((order - base) * grid) + 1)
     for e, k in counts.items():
-        coeffs[int((e - base) * grid)] = Q(k)
-    return PuiseuxSeries(base=base, grid=grid, coeffs=tuple(coeffs))
+        nums[int((e - base) * grid)] = k
+    return PuiseuxSeries.from_ints(base, grid, nums)
 
 
 def lattice_theta(lat: IntegralLattice, order: int) -> PuiseuxSeries:

@@ -159,8 +159,7 @@ def build_custom(coefficients: Sequence[PuiseuxSeries], provenance: str = "custo
     if len(cs) - 1 > 4:
         raise ValueError("operators of order > 4 are out of scope")
     top = cs[-1]
-    if top.base != 0 or top.coefficient(0) != 1 or any(
-            c for c in top.coeffs[1:]):
+    if top.base != 0 or top.coefficient(0) != 1 or any(top.nums[1:]):
         raise ValueError("operator must be monic in the top D-power")
     return MLDEOperator(cs, provenance=provenance, parameter=parameter)
 
@@ -304,23 +303,23 @@ def indicial(op: MLDEOperator) -> IndicialReport:
 # -- Frobenius solving ------------------------------------------------
 
 
-def _operator_tables(op: MLDEOperator, order: int):
-    """(P-coefficients, c[j][i] table for i = 0..order)."""
-    table = []
-    for c in op.coefficients:
-        if c.truncation <= order:
-            raise InsufficientOrder(
-                f"operator coefficients only justified to q^{c.truncation}, need > {order}")
-        # q^i sits at index start + i * grid when that is a whole number
-        start = -c.base * c.grid
-        if start.denominator != 1:
-            table.append([Q(0)] * (order + 1))
-            continue
-        start, cs = int(start), c.coeffs
-        table.append([cs[k] if k >= 0 else Q(0)
-                      for k in range(start, start + (order + 1) * c.grid, c.grid)])
-    p = tuple(row[0] for row in table)
-    return p, table
+def _steps(c: PuiseuxSeries, at: Fraction, order: int) -> list[int]:
+    """The numerators, over c.den, of the coefficients of q^(at + i) in c for
+    i = 0..order: 0 below c's base or off its grid."""
+    if c.truncation <= at + order:
+        raise InsufficientOrder(
+            f"operator coefficients only justified to q^{c.truncation}, need > {at + order}")
+    # q^(at + i) sits at index start + i * grid when that is a whole number
+    start = (at - c.base) * c.grid
+    if start.denominator != 1:
+        return [0] * (order + 1)
+    start, ns = int(start), c.nums
+    return [ns[k] if k >= 0 else 0 for k in range(start, start + (order + 1) * c.grid, c.grid)]
+
+
+def _operator_tables(op: MLDEOperator, order: int) -> list[tuple[list[int], int]]:
+    """(numerators of c_j at q^0..q^order, c_j.den) for each coefficient c_j."""
+    return [(_steps(c, Q(0), order), c.den) for c in op.coefficients]
 
 
 def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -330,26 +329,33 @@ def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _frobenius_sweep(table: Sequence[Sequence[Fraction]], alpha: Fraction, order: int,
-                     first: Fraction, forcing: Optional[Sequence[Fraction]] = None
-                     ) -> tuple[list[Fraction], dict[int, Fraction]]:
+def _frobenius_sweep(table: Sequence[tuple[Sequence[int], int]], alpha: Fraction,
+                     order: int, first: Fraction,
+                     forcing: Optional[tuple[Sequence[int], int]] = None
+                     ) -> tuple[_RunningDenominator, dict[int, Fraction]]:
     """b_0 = first and, for 1 <= n <= order,
 
       P(alpha+n) b_n = forcing[n] - sum_{i=1}^{n} sum_j c_{j,i} (alpha+n-i)^j b_{n-i}.
 
-    Returns (b, residuals): at each resonant n (P(alpha+n) = 0) b_n is set
-    to 0 and residuals[n] is the right-hand side there, in increasing n.
+    table[j] holds the numerators of c_{j,0..order} over one denominator,
+    and forcing its numerators over one denominator likewise.  Returns
+    (b, residuals): b_n = b.nums[n] / b.den, and at each resonant n
+    (P(alpha+n) = 0) b_n is set to 0 and residuals[n] is the right-hand
+    side there, in increasing n.
     """
-    # coef(i, x) = sum_j table[j][i] x^j equals K_i(X) / (t * aq^top) at
+    # coef(i, x) = sum_j c_{j,i} x^j equals K_i(X) / (t * aq^top) at
     # X = x * aq, where K_i has the integer Horner weights ws; K_0 gives P
     ap, aq = alpha.numerator, alpha.denominator
     top = len(table) - 1
-    t = lcm(*(c.denominator for row in table for c in row))
-    weights = [[table[j][i].numerator * (t // table[j][i].denominator) * aq ** (top - j)
-                for j in range(top, -1, -1)] for i in range(order + 1)]
+    t = lcm(*(den for _, den in table))
+    factors = [(nums, t // den * aq ** (top - j))
+               for j, (nums, den) in reversed(list(enumerate(table)))]
+    weights = [[nums[i] * f for nums, f in factors] for i in range(order + 1)]
     rows = [(i, ws) for i, ws in enumerate(weights) if i and any(ws)]
     scale = t * aq ** top
-    b = _RunningDenominator(first)
+    fn, fd = forcing if forcing is not None else ([0] * (order + 1), 1)
+    b = _RunningDenominator()
+    b.append(first.numerator, first.denominator)
     nums = b.nums
     residuals: dict[int, Fraction] = {}
     for n in range(1, order + 1):
@@ -366,15 +372,14 @@ def _frobenius_sweep(table: Sequence[Sequence[Fraction]], alpha: Fraction, order
         p = 0
         for w in weights[0]:
             p = p * x + w
-        # rhs = forcing[n] - acc / (scale * den) and P(alpha+n) = p / scale
-        f = forcing[n] if forcing is not None else Q(0)
-        num = f.numerator * scale * b.den - acc * f.denominator
+        # rhs = fn[n] / fd - acc / (scale * den) and P(alpha+n) = p / scale
+        num = fn[n] * scale * b.den - acc * fd
         if p == 0:
-            residuals[n] = Fraction(num, f.denominator * scale * b.den)
+            residuals[n] = Fraction(num, fd * scale * b.den)
             b.append(0, 1)
         else:
-            b.append(num, f.denominator * b.den * p)
-    return b.values, residuals
+            b.append(num, fd * b.den * p)
+    return b, residuals
 
 
 def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER,
@@ -382,18 +387,19 @@ def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER,
     """The unique solution q^alpha(a0 + a_1 q + ...); raises Resonance if
     P(alpha+n) vanishes for some 1 <= n <= order."""
     alpha = rat(alpha)
-    p, table = _operator_tables(op, order)
+    table = _operator_tables(op, order)
+    p = [Q(nums[0], den) for nums, den in table]
     if _poly_eval(p, alpha) != 0:
         raise NotIndicialRoot(f"P({alpha}) = {_poly_eval(p, alpha)} != 0")
     return _series_solution(table, alpha, order, rat(a0))
 
 
-def _series_solution(table: Sequence[Sequence[Fraction]], alpha: Fraction,
+def _series_solution(table: Sequence[tuple[Sequence[int], int]], alpha: Fraction,
                      order: int, a0: Fraction) -> PuiseuxSeries:
     a, residuals = _frobenius_sweep(table, alpha, order, a0)
     if residuals:
         raise Resonance(next(iter(residuals)))
-    return PuiseuxSeries(alpha, 1, tuple(a))
+    return PuiseuxSeries.from_ints(alpha, 1, a.nums, a.den)
 
 
 def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
@@ -420,7 +426,7 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
 
     # one table serves f1, which runs upper - alpha steps further, and f0
     top = order + int(upper - alpha)
-    _, table = _operator_tables(op, top)
+    table = _operator_tables(op, top)
     f1 = _series_solution(table, upper, top, Q(1))
     # T = sum_j j * c_j * D^(j-1) f1, the ell-interaction term
     t = None
@@ -431,14 +437,14 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
         if j >= 1:
             term = (c * df).scale(j)
             t = term if t is None else t + term
-    forcing = [-t.coefficient(alpha + n) for n in range(order + 1)]
+    forcing = [-x for x in _steps(t, alpha, order)]
     if forcing[0]:
         raise InconsistentResonance("no log solution: inconsistent leading resonance")
     # f0 = part + x * hom, with x the coefficient of q^alpha
-    part, part_res = _frobenius_sweep(table, alpha, order, Q(0), forcing)
+    part, part_res = _frobenius_sweep(table, alpha, order, Q(0), (forcing, t.den))
     if upper == alpha:
         # q^alpha is q^u, whose coefficient is gauged to zero
-        x, hom, hom_res = Q(0), [Q(0)] * (order + 1), dict.fromkeys(part_res, Q(0))
+        x, hom, hom_res = Q(0), None, dict.fromkeys(part_res, Q(0))
     else:
         x = None
         hom, hom_res = _frobenius_sweep(table, alpha, order, Q(1))
@@ -450,7 +456,9 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
             raise InconsistentResonance(f"no log solution: inconsistent resonance at step {n}")
     if x is None:
         x = Q(1)  # free coefficient never pinned: normalize it to 1
-    f0 = PuiseuxSeries(alpha, 1, tuple(a + x * b for a, b in zip(part, hom)))
+    f0 = PuiseuxSeries.from_ints(alpha, 1, part.nums, part.den)
+    if x:
+        f0 += PuiseuxSeries.from_ints(alpha, 1, hom.nums, hom.den).scale(x)
     return LogSeries(f0, f1.truncate(f0.truncation))
 
 

@@ -1,14 +1,18 @@
 """Exact truncated Puiseux series over the rationals.
 
-A series is stored as ``q^base * sum(coeffs[n] * q^(n/grid))`` with an
+A series is stored as ``q^base * sum(nums[n]/den * q^(n/grid))`` with an
 explicit truncation: the expansion is exact modulo
-``q^(base + (order+1)/grid)``.  Coefficients are stored as
-:class:`fractions.Fraction`, so nothing is ever rounded.  Products, powers
-and inverses run their quadratic loops on Python ints instead: the inputs
-are brought to integer numerators over a common denominator once, earlier
-outputs of a recurrence are kept over a running denominator (the lcm of
-their denominators so far), and each output coefficient is reduced by one
-gcd.
+``q^(base + (order+1)/grid)``.  The coefficients are integer numerators
+``nums`` over one positive denominator ``den`` with
+``gcd(den, *nums) == 1``, so nothing is ever rounded and the stored form
+of a series is unique.  Every operation runs on Python ints: ``+`` is one
+lcm and a rescale, ``scale``, ``-`` and ``D`` are integer list operations,
+products take the numerators straight into their quadratic loop, and
+recurrences (powers, inverses, Frobenius sweeps) keep their earlier
+outputs over a running denominator, the lcm of their denominators so far.
+Each result is reduced by one gcd.  ``Fraction`` appears only at the
+boundary: ``coefficient``, ``first_nonzero``, the cached ``coeffs`` view and
+the rational constructor.
 
 A depth-1 logarithmic extension is provided by :class:`LogSeries`,
 representing ``plain + ell*log_part`` where ``ell`` is the formal
@@ -78,98 +82,154 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _over_common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators ns and one denominator d with cs[k] == ns[k] / d."""
-    d = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (d // c.denominator) for c in cs], d
-
-
 class _RunningDenominator:
-    """The outputs of a recurrence, kept both as reduced Fractions
-    (``values``) and as integer numerators ``nums`` over ``den``, the lcm of
-    the denominators appended so far.  ``nums`` is rescaled in place only
-    when ``den`` grows.
+    """The outputs of a recurrence as integer numerators ``nums`` over
+    ``den``, the lcm of the reduced denominators appended so far.  ``nums``
+    is rescaled in place only when ``den`` grows, so ``nums`` over ``den``
+    stays in lowest terms.
 
     A fixed denominator chosen up front (say D^m for step m) grows far
     faster than this lcm and makes the integer loops much slower than the
     Fraction ones they replace.
     """
 
-    def __init__(self, first: Fraction):
-        self.values = [first]
-        self.nums = [first.numerator]
-        self.den = first.denominator
+    def __init__(self):
+        self.nums: list[int] = []
+        self.den = 1
 
     def append(self, num: int, den: int) -> None:
-        """Append num/den, reduced by one gcd."""
-        v = Fraction(num, den)
-        self.values.append(v)
-        if self.den % v.denominator:
-            grown = lcm(self.den, v.denominator)
+        """Append num/den (den != 0), reduced by one gcd."""
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        num, den = num // g, den // g
+        if self.den % den:
+            grown = lcm(self.den, den)
             f = grown // self.den
             self.nums[:] = [x * f for x in self.nums]
             self.den = grown
-        self.nums.append(v.numerator * (self.den // v.denominator))
+        self.nums.append(num * (self.den // den))
 
 
-@dataclass(frozen=True)
 class PuiseuxSeries:
-    """Truncated series q^base * (c_0 + c_1 q^(1/grid) + ... + c_N q^(N/grid))."""
+    """Truncated series q^base * (c_0 + c_1 q^(1/grid) + ... + c_N q^(N/grid))
+    with c_k = nums[k] / den.
 
+    The form is canonical: ``den > 0`` and ``gcd(den, *nums) == 1`` (a zero
+    series has ``den == 1``), so two series are equal, and hash equal, exactly
+    when their base, grid and exact coefficients agree.
+    ``PuiseuxSeries(base, grid, coeffs)`` takes rational coefficients;
+    :meth:`from_ints` takes numerators over one denominator, and every kernel
+    result leaves through it.  ``coeffs`` is a read-only ``Fraction`` view,
+    built on first use.  Instances are immutable and hashable.
+    """
+
+    __slots__ = ("base", "grid", "nums", "den", "_coeffs")
     base: Fraction
     grid: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, base: QLike, grid: int, coeffs: Iterable[Union[int, Fraction]]):
+        cs = tuple(coeffs)
+        den = lcm(*(c.denominator for c in cs))
+        self._assign(base, grid, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def from_ints(cls, base: QLike, grid: int, nums: Sequence[int],
+                  den: int = 1) -> "PuiseuxSeries":
+        """The series with coefficients nums[k] / den (den != 0)."""
+        s = object.__new__(cls)
+        s._assign(base, grid, nums, den)
+        return s
+
+    def _assign(self, base: QLike, grid: int, nums: Sequence[int], den: int) -> None:
+        """Set the fields in canonical form, reduced by one gcd."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        for name, value in (("base", rat(base)), ("grid", grid), ("nums", tuple(nums)),
+                            ("den", den), ("_coeffs", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PuiseuxSeries is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PuiseuxSeries is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PuiseuxSeries:
+            return NotImplemented
+        return (self.base == other.base and self.grid == other.grid
+                and self.den == other.den and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.base, self.grid, self.nums, self.den))
+
+    def __repr__(self):
+        return (f"PuiseuxSeries(base={self.base!r}, grid={self.grid!r}, "
+                f"nums={self.nums!r}, den={self.den!r})")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions; built once, then cached."""
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = tuple(Fraction(x, den) for x in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def make(base: QLike, coeffs: Iterable[QLike], grid: int = 1) -> "PuiseuxSeries":
-        cs = tuple(rat(c) for c in coeffs)
+        cs = [rat(c) for c in coeffs]
         if grid < 1:
             raise ValueError("grid must be a positive integer")
-        return PuiseuxSeries(rat(base), grid, cs)._normalized()
+        return PuiseuxSeries(base, grid, cs)._normalized()
 
     @staticmethod
     def zero(order: int = DEFAULT_ORDER, base: QLike = 0, grid: int = 1) -> "PuiseuxSeries":
-        return PuiseuxSeries(rat(base), grid, (Q(0),) * (order + 1))
+        return PuiseuxSeries.from_ints(base, grid, [0] * (order + 1))
 
     @staticmethod
     def one(order: int = DEFAULT_ORDER) -> "PuiseuxSeries":
-        return PuiseuxSeries(Q(0), 1, (Q(1),) + (Q(0),) * order)
+        return PuiseuxSeries.q_power(0, order)
 
     @staticmethod
     def q_power(e: QLike, order: int = DEFAULT_ORDER) -> "PuiseuxSeries":
         """The monomial q^e, exact to `order` grid steps past e."""
-        return PuiseuxSeries(rat(e), 1, (Q(1),) + (Q(0),) * order)
+        return PuiseuxSeries.from_ints(e, 1, [1] + [0] * order)
 
     def _normalized(self) -> "PuiseuxSeries":
         """Reduce the grid to the smallest step actually used (losslessly)."""
         if self.grid == 1:
             return self
         g = self.grid
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, x in enumerate(self.nums):
+            if x:
                 g = gcd(g, i)
-            if g == 1:
-                return self
-        if g == 0:  # all-zero series
-            g = self.grid
-        n = len(self.coeffs)
-        if n % g != 0:
+                if g == 1:
+                    return self
+        if len(self.nums) % g != 0:
             return self  # reducing would shrink the justified truncation
-        new_grid = self.grid // g
-        return PuiseuxSeries(self.base, new_grid, self.coeffs[::g])
+        return PuiseuxSeries.from_ints(self.base, self.grid // g, self.nums[::g], self.den)
 
     # -- basic queries -------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def truncation(self) -> Fraction:
         """Exponent t such that the series is exact modulo q^t."""
-        return self.base + Q(len(self.coeffs), self.grid)
+        return self.base + Q(len(self.nums), self.grid)
 
     def first_nonzero(self, below: Optional[QLike] = None
                       ) -> Optional[tuple[Fraction, Fraction]]:
@@ -181,10 +241,10 @@ class PuiseuxSeries:
         if below > self.truncation:
             raise InsufficientOrder(
                 f"no verdict below q^{below}: exact only to q^{self.truncation}")
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, x in enumerate(self.nums):
+            if x:
                 e = self.base + Q(i, self.grid)
-                return (e, c) if e < below else None
+                return (e, Fraction(x, self.den)) if e < below else None
         return None
 
     def leading(self) -> tuple[Fraction, Fraction]:
@@ -207,42 +267,45 @@ class PuiseuxSeries:
     # -- arithmetic ----------------------------------------------------
 
     def _aligned(self, other: "PuiseuxSeries"):
+        """(base, grid, n): the common base and grid of self and other, and
+        the number n of grid steps both are exact to.  trunc - base is a
+        whole number of steps, since each operand's base offset and length
+        are."""
         base = min(self.base, other.base)
-        grid = lcm(self.grid, other.grid)
-        grid = lcm(grid, (self.base - base).denominator, (other.base - base).denominator)
+        grid = lcm(self.grid, other.grid,
+                   (self.base - base).denominator, (other.base - base).denominator)
         trunc = min(self.truncation, other.truncation)
-        n = (trunc - base) * grid
-        if n.denominator != 1:
-            grid = lcm(grid, n.denominator)
-            n = (trunc - base) * grid
-        return base, grid, int(n)
+        return base, grid, int((trunc - base) * grid)
 
     def __add__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction)):
             t = self.truncation
             if t <= 0:
                 raise InsufficientOrder("cannot add a constant past the truncation")
-            d = t.denominator
-            m = int(t * d)
-            other = PuiseuxSeries(Q(0), d, (rat(other),) + (Q(0),) * (m - 1))
+            c = rat(other)
+            other = PuiseuxSeries.from_ints(
+                0, t.denominator, [c.numerator] + [0] * (t.numerator - 1), c.denominator)
         base, grid, n = self._aligned(other)
         if n <= 0:
             raise InsufficientOrder("operands share no justified coefficient range")
-        cs = [Q(0)] * n
+        den = lcm(self.den, other.den)
+        acc = [0] * n
         for s in (self, other):
             off = int((s.base - base) * grid)
             step = grid // s.grid
-            for i, c in enumerate(s.coeffs):
-                j = off + i * step
-                if j < n:
-                    cs[j] += c
-        return PuiseuxSeries(base, grid, tuple(cs))._normalized()
+            k = min(len(s.nums), (n - off + step - 1) // step)  # terms below n
+            if k > 0:
+                f = den // s.den
+                at = slice(off, off + k * step, step)
+                xs = s.nums[:k] if f == 1 else [x * f for x in s.nums[:k]]
+                acc[at] = [a + x for a, x in zip(acc[at], xs)]
+        return PuiseuxSeries.from_ints(base, grid, acc, den)._normalized()
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.base, self.grid, tuple(-c for c in self.coeffs))
+        return PuiseuxSeries.from_ints(self.base, self.grid, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -254,29 +317,27 @@ class PuiseuxSeries:
 
     def scale(self, k: QLike) -> "PuiseuxSeries":
         k = rat(k)
-        return PuiseuxSeries(self.base, self.grid, tuple(k * c for c in self.coeffs))
+        p = k.numerator
+        return PuiseuxSeries.from_ints(self.base, self.grid, [p * x for x in self.nums],
+                                       k.denominator * self.den)
 
     def __mul__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, LogSeries):
             return NotImplemented
+        # trunc - base is min(len_a/grid_a, len_b/grid_b): whole steps of grid
         grid = lcm(self.grid, other.grid)
         base = self.base + other.base
         trunc = min(self.truncation + other.base, other.truncation + self.base)
-        n = (trunc - base) * grid
-        if n.denominator != 1:
-            grid = lcm(grid, n.denominator)
-            n = (trunc - base) * grid
-        n = int(n)
+        n = int((trunc - base) * grid)
         if n <= 0:
             raise InsufficientOrder("product has no justified coefficients")
         sa = grid // self.grid
         sb = grid // other.grid
         # only the terms that land below n take part
-        xs, da = _over_common_denominator(self.coeffs[:(n + sa - 1) // sa])
-        ys, db = _over_common_denominator(other.coeffs[:(n + sb - 1) // sb])
-        nz = [(j * sb, y) for j, y in enumerate(ys) if y]
+        xs = self.nums[:(n + sa - 1) // sa]
+        nz = [(j * sb, y) for j, y in enumerate(other.nums[:(n + sb - 1) // sb]) if y]
         offsets = [jb for jb, _ in nz]
         acc = [0] * n
         for i, x in enumerate(xs):
@@ -284,8 +345,7 @@ class PuiseuxSeries:
                 ia = i * sa
                 for jb, y in nz[:bisect_left(offsets, n - ia)]:
                     acc[ia + jb] += x * y
-        d = da * db
-        return PuiseuxSeries(base, grid, tuple(Fraction(c, d) for c in acc))._normalized()
+        return PuiseuxSeries.from_ints(base, grid, acc, self.den * other.den)._normalized()
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -293,7 +353,7 @@ class PuiseuxSeries:
         return NotImplemented
 
     def invert(self) -> "PuiseuxSeries":
-        if not self.coeffs or not self.coeffs[0]:
+        if not self.nums or not self.nums[0]:
             raise ZeroLeadingCoefficient("cannot invert: leading stored coefficient is 0")
         return self.pow(-1)
 
@@ -306,8 +366,8 @@ class PuiseuxSeries:
         """a^r via the coefficient recursion from a*g' = r*a'*g."""
         r = rat(r)
         if r == 0:
-            return PuiseuxSeries(Q(0), 1, (Q(1),) + (Q(0),) * self.order)
-        if not self.coeffs or not self.coeffs[0]:
+            return PuiseuxSeries.one(self.order)
+        if not self.nums or not self.nums[0]:
             if r.denominator == 1 and r > 0:
                 # integer power of a series with vanishing constant term
                 out = self
@@ -315,21 +375,20 @@ class PuiseuxSeries:
                     out = out * self
                 return out
             raise NonUnitBase("fractional power requires unit constant term")
-        c0 = self.coeffs[0]
-        if c0 != 1:
+        if self.nums[0] != self.den:
             if r.denominator != 1:
                 raise NonUnitBase("fractional power requires constant term 1")
-            k = int(r)
-            unit = self.scale(1 / c0)
-            return unit.pow(r).scale(c0 ** k)
+            c0 = Fraction(self.nums[0], self.den)
+            return self.scale(1 / c0).pow(r).scale(c0 ** int(r))
         # Miller: m g_m = sum_{i=1}^{m} ((r+1) i - m) c_i g_{m-i}; with
-        # r = p/q and c_i = ys[i-1]/d the weight is ((p+q) i - q m) / q
-        ys, d = _over_common_denominator(self.coeffs[1:])
+        # r = p/q and c_i = nums[i]/d the weight is ((p+q) i - q m) / q
+        d = self.den
         p, q = r.numerator, r.denominator
-        nz = [(i, (p + q) * i, y) for i, y in enumerate(ys, 1) if y]
-        g = _RunningDenominator(Q(1))
+        nz = [(i, (p + q) * i, y) for i, y in enumerate(self.nums) if i and y]
+        g = _RunningDenominator()
+        g.append(1, 1)
         nums = g.nums
-        for m in range(1, len(self.coeffs)):
+        for m in range(1, len(self.nums)):
             qm = q * m
             acc = 0
             for i, w, y in nz:
@@ -337,7 +396,7 @@ class PuiseuxSeries:
                     break
                 acc += (w - qm) * y * nums[m - i]
             g.append(acc, qm * d * g.den)
-        return PuiseuxSeries(r * self.base, self.grid, tuple(g.values))._normalized()
+        return PuiseuxSeries.from_ints(r * self.base, self.grid, nums, g.den)._normalized()
 
     def __pow__(self, r):
         return self.pow(r)
@@ -348,33 +407,36 @@ class PuiseuxSeries:
             raise ValueError("substitution exponent must be a positive integer")
         if m == 1:
             return self
-        n = len(self.coeffs)
-        cs = [Q(0)] * (m * n)
-        for i, c in enumerate(self.coeffs):
-            cs[m * i] = c
-        return PuiseuxSeries(m * self.base, self.grid, tuple(cs))._normalized()
+        nums = [0] * (m * len(self.nums))
+        nums[::m] = self.nums
+        return PuiseuxSeries.from_ints(m * self.base, self.grid, nums, self.den)._normalized()
 
     def euler_derivative(self) -> "PuiseuxSeries":
         """D = q d/dq: c*q^e -> c*e*q^e."""
-        cs = tuple(c * (self.base + Q(i, self.grid)) for i, c in enumerate(self.coeffs))
-        return PuiseuxSeries(self.base, self.grid, cs)._normalized()
+        # e_i = base + i/grid = (b*grid + i*bd) / (bd*grid), with base = b/bd
+        bd, g = self.base.denominator, self.grid
+        b = self.base.numerator * g
+        nums = [x * (b + i * bd) for i, x in enumerate(self.nums)]
+        return PuiseuxSeries.from_ints(self.base, g, nums, self.den * bd * g)._normalized()
 
     def integrate_q(self) -> "PuiseuxSeries":
         """Formal primitive under D: c*q^e -> (c/e)*q^e; e = 0 must not occur."""
-        cs = []
-        for i, c in enumerate(self.coeffs):
-            e = self.base + Q(i, self.grid)
-            if e == 0:
-                if c:
-                    raise ConstantTermPresent("dq/q integral of a constant term diverges")
-                cs.append(Q(0))
+        bd, g = self.base.denominator, self.grid
+        b = self.base.numerator * g
+        out = _RunningDenominator()
+        for i, x in enumerate(self.nums):
+            e = b + i * bd  # the exponent is e / (bd*grid)
+            if e:
+                out.append(x * bd * g, self.den * e)
+            elif x:
+                raise ConstantTermPresent("dq/q integral of a constant term diverges")
             else:
-                cs.append(c / e)
-        return PuiseuxSeries(self.base, self.grid, tuple(cs))._normalized()
+                out.append(0, 1)
+        return PuiseuxSeries.from_ints(self.base, g, out.nums, out.den)._normalized()
 
     def shift(self, e: QLike) -> "PuiseuxSeries":
         """Multiply by the exact monomial q^e."""
-        return PuiseuxSeries(self.base + rat(e), self.grid, self.coeffs)
+        return PuiseuxSeries.from_ints(self.base + rat(e), self.grid, self.nums, self.den)
 
     def truncate(self, trunc: QLike) -> "PuiseuxSeries":
         """Restrict the claimed exactness to q^trunc (must not exceed the current one)."""
@@ -383,24 +445,22 @@ class PuiseuxSeries:
             raise InsufficientOrder("cannot extend a truncation")
         n = (trunc - self.base) * self.grid
         grid = self.grid
-        cs = self.coeffs
+        nums = self.nums
         if n.denominator != 1:
-            grid = self.grid * n.denominator
             step = n.denominator
-            expanded = [Q(0)] * (len(cs) * step)
-            for i, c in enumerate(cs):
-                expanded[i * step] = c
-            cs = tuple(expanded)
+            grid = self.grid * step
+            nums = [0] * (len(self.nums) * step)
+            nums[::step] = self.nums
             n = (trunc - self.base) * grid
         n = int(n)
         if n <= 0:
             raise InsufficientOrder("truncation precedes the base exponent")
-        return PuiseuxSeries(self.base, grid, tuple(cs[:n]))._normalized()
+        return PuiseuxSeries.from_ints(self.base, grid, nums[:n], self.den)._normalized()
 
     # -- comparisons ---------------------------------------------------
 
     def is_zero_to_truncation(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_cft_type(self, depth: int) -> bool:
         """Leading coefficient 1 and non-negative integer coefficients to `depth`.
@@ -415,11 +475,12 @@ class PuiseuxSeries:
             return False
         if self.truncation <= e0 + depth:
             raise InsufficientOrder(f"CFT check to depth {depth} exceeds truncation")
-        for ex, c in ((self.base + Q(i, self.grid), c) for i, c in enumerate(self.coeffs)):
-            if c and ex <= e0 + depth:
-                rel = ex - e0
-                if rel.denominator != 1 or c.denominator != 1 or c < 0:
-                    return False
+        for i, x in enumerate(self.nums):
+            ex = self.base + Q(i, self.grid)
+            if ex > e0 + depth:
+                break
+            if x and ((ex - e0).denominator != 1 or x % self.den or x < 0):
+                return False
         return True
 
     # -- serialization -------------------------------------------------
@@ -454,10 +515,10 @@ class PuiseuxSeries:
 
     def __str__(self) -> str:
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
+        for i, x in enumerate(self.nums):
+            if not x:
                 continue
-            e = self.base + Q(i, self.grid)
+            c, e = Fraction(x, self.den), self.base + Q(i, self.grid)
             parts.append(f"{rat_str(c)}*q^{rat_str(e)}" if e else rat_str(c))
             if len(parts) >= 8:
                 parts.append("...")

@@ -1,7 +1,7 @@
 """Property suites (hypothesis, 200 derandomized cases each)."""
 
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,3 +259,78 @@ def test_high_denominator_inverse():
     one = psi.invert() * psi
     assert one.truncation == 201
     assert (one - 1).is_zero_to_truncation()
+
+
+# -- suite 8: canonical integer storage -------------------------------
+#
+# Every kernel result stores integer numerators over one denominator in
+# lowest terms, its Fraction view matches a term-by-term reference, and the
+# rational constructor gives an equal, equally hashed series.
+
+def ref_add(a, b):
+    (ta, base_a, trunc_a), (tb, base_b, trunc_b) = a, b
+    trunc = min(trunc_a, trunc_b)
+    out = {}
+    for e, c in list(ta.items()) + list(tb.items()):
+        if e < trunc:
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}, min(base_a, base_b), trunc
+
+
+def ref_scale(a, k):
+    t, base, trunc = a
+    return {e: k * c for e, c in t.items() if k}, base, trunc
+
+
+def ref_euler(a):
+    t, base, trunc = a
+    return {e: e * c for e, c in t.items() if e}, base, trunc
+
+
+def ref_substitute(a, m):
+    t, base, trunc = a
+    return {m * e: c for e, c in t.items()}, m * base, m * trunc
+
+
+def ref_truncate(a, cut):
+    t, base, _ = a
+    return {e: c for e, c in t.items() if e < cut}, base, cut
+
+
+def canonical(s: PuiseuxSeries) -> bool:
+    return (type(s.den) is int and s.den > 0 and all(type(x) is int for x in s.nums)
+            and gcd(s.den, *s.nums) == 1)
+
+
+@SET
+@given(small_rational, grids, nonzero_coeff, kernel_coeffs, small_rational, grids,
+       kernel_coeffs, exponents.filter(bool), st.integers(-3, 4), st.integers(1, 4),
+       kernel_coeff, st.integers(1, 8))
+def test_results_are_canonical(b1, g1, c0, xs, b2, g2, ys, r, k, m, c, cut):
+    f, g = series(b1, g1, [c0] + xs), series(b2, g2, ys)
+    unit = f.scale(1 / c0)
+    lifted = f.shift(max(0, 1 - floor(f.truncation)))
+    const = ({Fraction(0): c} if c else {}, Fraction(0), lifted.truncation)
+    cut = f.base + (f.truncation - f.base) * Fraction(cut, 8)
+    cases = [
+        (f + g, ref_add(terms(f), terms(g))),
+        (f - g, ref_add(terms(f), ref_scale(terms(g), -1))),
+        (-f, ref_scale(terms(f), -1)),
+        (f.scale(c), ref_scale(terms(f), c)),
+        (f * g, ref_mul(terms(f), terms(g))),
+        (f.pow(k), ref_pow_int(f, k)),
+        (unit.pow(r), ref_pow_unit(unit, r)),
+        (f.invert(), ref_invert(f)),
+        (f.euler_derivative(), ref_euler(terms(f))),
+        (f.substitute_power(m), ref_substitute(terms(f), m)),
+        (f.truncate(cut), ref_truncate(terms(f), cut)),
+        (lifted + c, ref_add(terms(lifted), const)),
+    ]
+    for out, want in cases:
+        assert canonical(out)
+        assert terms(out) == want
+        # the same series from the reference's Fractions
+        dense = tuple(want[0].get(out.base + Fraction(i, out.grid), Fraction(0))
+                      for i in range(out.order + 1))
+        built = PuiseuxSeries(out.base, out.grid, dense)
+        assert built == out and hash(built) == hash(out)

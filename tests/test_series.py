@@ -173,3 +173,33 @@ def test_truncate_between_grid_points():
     assert g.truncation == Q(5, 4)
     assert g.coefficient(1) == 3
     assert f.truncate(Q(1, 4)).coefficient(0) == 1
+
+
+def test_storage_is_canonical_integers():
+    """Numerators over one positive denominator in lowest terms; the
+    rational constructor and a kernel op give equal, equally hashed series."""
+    f = PuiseuxSeries.make(0, [2, 4, 6]).scale(Q(1, 2))
+    assert (f.nums, f.den) == ((1, 2, 3), 1)
+    g = PuiseuxSeries.make(Q(1, 3), [3, 2]).scale(Q(1, 6))
+    assert (g.nums, g.den) == ((3, 2), 6)
+    assert g.coeffs == (Q(1, 2), Q(1, 3))
+    built = PuiseuxSeries(Q(1, 3), 1, (Q(1, 2), Q(1, 3)))
+    assert built == g and hash(built) == hash(g)
+    assert {built: "x"}[g] == "x"
+    assert PuiseuxSeries(0, 1, (1, 2, 3)) == f
+    flipped = PuiseuxSeries.from_ints(0, 1, [2, -4], -6)
+    assert (flipped.nums, flipped.den) == ((-1, 2), 3)
+    zero = f - f
+    assert (zero.nums, zero.den) == ((0, 0, 0), 1)
+
+
+def test_series_is_immutable():
+    f = PuiseuxSeries.make(0, [1, Q(1, 2)])
+    for name, value in (("nums", (0, 0)), ("den", 3), ("base", Q(1)), ("grid", 2),
+                        ("coeffs", ()), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    with pytest.raises(AttributeError):
+        del f.nums
+    assert (f.nums, f.den) == ((2, 1), 2)
+    assert f.coeffs is f.coeffs == (Q(1), Q(1, 2))
