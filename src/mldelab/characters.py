@@ -93,7 +93,7 @@ def minimal_character(h: QLike, order: int = 50) -> MinimalCharacter:
     p, pp = 3, 5
     lam_minus = r * pp - s * p
     lam_plus = r * pp + s * p
-    coeffs = [Q(0)] * (order + 1)
+    nums = [0] * (order + 1)
     n = 0
     while True:
         hit = False
@@ -103,15 +103,15 @@ def minimal_character(h: QLike, order: int = 50) -> MinimalCharacter:
             b = ((2 * p * pp * m + lam_plus) ** 2 - lam_plus**2) // (4 * p * pp) \
                 + r * s
             if a <= order:
-                coeffs[a] += 1
+                nums[a] += 1
                 hit = True
             if b <= order:
-                coeffs[b] -= 1
+                nums[b] -= 1
                 hit = True
         if not hit and n > 0:
             break
         n += 1
-    numerator = PuiseuxSeries.make(0, coeffs)
+    numerator = PuiseuxSeries.from_ints(0, 1, nums)
     series = (numerator * _inverse_euler_product(order)).shift(h - MINIMAL_C / 24)
     return MinimalCharacter(h=h, series=series.truncate(h - MINIMAL_C / 24 + order))
 

@@ -89,8 +89,8 @@ class _RunningDenominator:
     stays in lowest terms.
 
     A fixed denominator chosen up front (say D^m for step m) grows far
-    faster than this lcm and makes the integer loops much slower than the
-    Fraction ones they replace.
+    faster than this lcm and makes the integer loops slower than plain
+    Fraction arithmetic.
     """
 
     def __init__(self):
