@@ -881,5 +881,4 @@ def remark_solution(s: QLike, order: int = 99) -> PuiseuxSeries:
 
 
 def remark_holds(s: QLike, order: int = 99) -> bool:
-    f = remark_solution(s, order)
-    return f.den == 1 and all(x >= 0 for x in f.nums)
+    return remark_solution(s, order).first_non_counting() is None

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from . import forms as F
 from .mlde import (build_flat, build_sharp, flat_indicial_roots,
                    frobenius_solve, mu)
-from .series import PuiseuxSeries, Q, QLike, rat
+from .series import PuiseuxSeries, Q, QLike, rat, rat_str
 
 
 class UnknownWeight(KeyError):
@@ -427,7 +427,9 @@ def ramond_character_basis(name: str, order: int = 25
 
 
 def verify_case(name: str, order: int = 25) -> dict:
-    """Cross-check one case against the fourth-order family."""
+    """Cross-check one case against the fourth-order family.  A failed
+    report carries a detail line and, when a series check failed, the first
+    bad exponent and the residual there."""
     d = datum(name)
     report = {"name": name, "s": str(d.s), "order": order}
     roots = flat_indicial_roots(d.s)
@@ -436,29 +438,31 @@ def verify_case(name: str, order: int = 25) -> dict:
         # roots carry character-type series solutions (all roots for genuine
         # algebras; at least one for the two formal parameters, where the
         # remaining solutions belong to a second-order factor instead)
-        ok = tuple(sorted(set(roots))) == d.ramond_exponents
+        distinct = tuple(sorted(set(roots)))
+        ok = distinct == d.ramond_exponents
         op = build_flat(d.s, order + 1)
-        flags = []
-        for r in sorted(set(roots)):
+        failing = []
+        for r in distinct:
             f = frobenius_solve(op, r, order)
-            cs = [f.coefficient(r + k) for k in range(order + 1)]
             # non-negative, with denominators stabilizing early, so a single
-            # integer rescale (the unknown leading multiplicity) clears them
-            denom_all = lcm(*(c.denominator for c in cs))
-            denom_head = lcm(*(c.denominator for c in cs[:6]))
-            flags.append(all(c >= 0 for c in cs) and denom_all == denom_head)
-        cft = any(flags) if d.verification == "formal" else all(flags)
+            # integer rescale (the unknown leading multiplicity: the lcm of
+            # the first six denominators) clears them
+            bad = f.scale(f.truncate(min(r + 6, f.truncation)).den).first_non_counting()
+            if bad is not None:
+                failing.append((r, bad))
+        cft = len(failing) < len(distinct) if d.verification == "formal" else not failing
         report["exponents_match"] = ok
         report["cft_type"] = cft
-        report["status"] = "verified" if (ok and cft) else "failed"
+        if not cft:
+            r, bad = failing[0]
+            return _failed(report, f"solution at {r} has non-counting coefficients", bad)
+        report["status"] = "verified" if ok else "failed"
         return report
     chars = ramond_character_basis(name, order)
     exps = sorted(e for e, _ in chars)
     report["exponents"] = [str(e) for e in exps]
     if exps != list(d.ramond_exponents) or not set(exps) <= set(roots):
-        report["status"] = "failed"
-        report["detail"] = f"exponents {exps} != tabulated {d.ramond_exponents}"
-        return report
+        return _failed(report, f"exponents {exps} != tabulated {d.ramond_exponents}")
     if name != "A1":
         # the lattice-module conformal weights must match the tabulated list
         gram, cosets, _ = _case_data(name)
@@ -467,9 +471,7 @@ def verify_case(name: str, order: int = 25) -> dict:
             th = lattice_theta(lattice(gram, c), 3)
             weights.append(th.leading()[0])
         if weights != _COSET_WEIGHTS[name]:
-            report["status"] = "failed"
-            report["detail"] = f"coset weights {weights} != printed"
-            return report
+            return _failed(report, f"coset weights {weights} != printed")
     op = build_flat(d.s, order + 2)
     ops = [("flat", op)]
     if name == "E8":
@@ -477,21 +479,25 @@ def verify_case(name: str, order: int = 25) -> dict:
     for e, chi in chars:
         lead = chi.coefficient(e)
         for tag, o in ops:
-            if o.apply(chi).first_nonzero(e + order - 2) is not None:
-                report["status"] = "failed"
-                report["detail"] = f"character at {e} not annihilated ({tag})"
-                return report
+            bad = o.apply(chi).first_nonzero(e + order - 2)
+            if bad is not None:
+                return _failed(report, f"character at {e} not annihilated ({tag})", bad)
         f = frobenius_solve(op, e, max(order - 1, 0))
-        if (chi.scale(1 / lead) - f).first_nonzero(e + order - 1) is not None:
-            report["status"] = "failed"
-            report["detail"] = f"character at {e} differs from series solution"
-            return report
-        cs = [chi.coefficient(e + k) for k in range(order - 1)]
-        if any(c.denominator != 1 or c < 0 for c in cs):
-            report["status"] = "failed"
-            report["detail"] = f"character at {e} has non-counting coefficients"
-            return report
+        bad = (chi.scale(1 / lead) - f).first_nonzero(e + order - 1)
+        if bad is not None:
+            return _failed(report, f"character at {e} differs from series solution", bad)
+        bad = chi.first_non_counting(e + order - 1)
+        if bad is not None:
+            return _failed(report, f"character at {e} has non-counting coefficients", bad)
     report["status"] = "verified"
+    return report
+
+
+def _failed(report: dict, detail: str,
+            bad: Optional[tuple[Fraction, Fraction]] = None) -> dict:
+    report.update(status="failed", detail=detail)
+    if bad is not None:
+        report.update(first_bad_exponent=rat_str(bad[0]), residual=rat_str(bad[1]))
     return report
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .mlde import Resonance, build_flat, frobenius_solve
+from . import catalog
+from .mlde import Resonance, build_flat, flat_indicial_roots, frobenius_solve
 from .series import Q, QLike, rat
 
 
@@ -28,7 +29,6 @@ class CaseSpec:
     constant: int                       # C in (d) * (cofactor) = C
     d_offset: int                       # t = d + d_offset
     a1_of_d: Callable[[int], Fraction]  # a1 induced by the divisor d
-    root_of_s: Callable[[Fraction], Fraction]
     excluded_linear_root: Fraction
     filter_depth: int
 
@@ -37,28 +37,25 @@ CASES: dict[int, CaseSpec] = {
     1: CaseSpec(
         case_id=1, m=5, constant=-2880, d_offset=42,
         a1_of_d=lambda d: Q(-2880, d) - d - 108,
-        root_of_s=lambda s: -s / 24 - Q(1, 20),
         excluded_linear_root=Q(54, 5), filter_depth=4),
     2: CaseSpec(
         case_id=2, m=15, constant=100800, d_offset=306,
         a1_of_d=lambda d: (Q(-100800, d) - d - 632) / 3,
-        root_of_s=lambda s: -s / 24 + Q(3, 4),
         excluded_linear_root=Q(18), filter_depth=32),
     3: CaseSpec(
         case_id=3, m=5, constant=4200, d_offset=-78,
         a1_of_d=lambda d: d - 130 + Q(4200, d),
-        root_of_s=lambda s: s / 24 + Q(1, 4),
         excluded_linear_root=Q(-6), filter_depth=23),
     4: CaseSpec(
         case_id=4, m=5, constant=180, d_offset=-18,
         a1_of_d=lambda d: d - 27 + Q(180, d),
-        root_of_s=lambda s: s / 24 + Q(1, 20),
         excluded_linear_root=Q(-66, 5), filter_depth=3),
 }
 
-#: values whose CFT-type solutions are quasimodular of positive depth
-QUASIMODULAR_VALUES: tuple[Fraction, ...] = (
-    Q(-318, 5), Q(-198, 5), Q(-138, 5), Q(-78, 5), Q(-18, 5), Q(42, 5))
+#: values whose CFT-type solutions are quasimodular of positive depth: the
+#: parameters of the catalog's C sections
+QUASIMODULAR_VALUES: tuple[Fraction, ...] = tuple(sorted(
+    {e.s for e in catalog.ENTRIES.values() if e.section.startswith("C.")}))
 
 
 def _signed_divisors(n: int) -> list[int]:
@@ -94,7 +91,9 @@ class CandidateReport:
 
 
 def filter_candidates(case: CaseSpec, depth: Optional[int] = None) -> CandidateReport:
-    """Keep s iff the Frobenius solution at the case root is CFT type to depth.
+    """Keep s iff the Frobenius solution at the case root is CFT type to depth:
+    s passes depth n when its first non-counting coefficient, if any, lies
+    past q^(alpha + n).
 
     Also cross-checks the Diophantine a1 against the recursion's a1.
     """
@@ -103,7 +102,7 @@ def filter_candidates(case: CaseSpec, depth: Optional[int] = None) -> CandidateR
     passed_upto: dict[Fraction, int] = {}
     resonant: list[Fraction] = []
     for s, a1 in candidates:
-        alpha = case.root_of_s(s)
+        alpha = flat_indicial_roots(s)[case.case_id - 1]
         op = build_flat(s, depth + 1)
         try:
             f = frobenius_solve(op, alpha, depth)
@@ -111,17 +110,12 @@ def filter_candidates(case: CaseSpec, depth: Optional[int] = None) -> CandidateR
             resonant.append(s)
             passed_upto[s] = 0
             continue
-        coeffs = [f.coefficient(alpha + n) for n in range(depth + 1)]
-        if coeffs[1] != a1:
+        a1_rec = f.coefficient(alpha + 1)
+        if a1_rec != a1:
             raise AssertionError(
-                f"case {case.case_id}, s={s}: Diophantine a1={a1} but recursion a1={coeffs[1]}")
-        good = depth
-        for n in range(1, depth + 1):
-            c = coeffs[n]
-            if c.denominator != 1 or c < 0:
-                good = n - 1
-                break
-        passed_upto[s] = good
+                f"case {case.case_id}, s={s}: Diophantine a1={a1} but recursion a1={a1_rec}")
+        bad = f.first_non_counting()
+        passed_upto[s] = depth if bad is None else int(bad[0] - alpha) - 1
     survivors_by_depth = {
         k: tuple(s for s, _ in candidates if passed_upto[s] >= k)
         for k in range(1, depth + 1)

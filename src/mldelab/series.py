@@ -11,8 +11,9 @@ products take the numerators straight into their quadratic loop, and
 recurrences (powers, inverses, Frobenius sweeps) keep their earlier
 outputs over a running denominator, the lcm of their denominators so far.
 Each result is reduced by one gcd.  ``Fraction`` appears only at the
-boundary: ``coefficient``, ``first_nonzero``, the cached ``coeffs`` view and
-the rational constructor.
+boundary: ``coefficient``, the verdict readers ``first_nonzero`` and
+``first_non_counting`` (which build one only for the term they return), the
+cached ``coeffs`` view and the rational constructor.
 
 A depth-1 logarithmic extension is provided by :class:`LogSeries`,
 representing ``plain + ell*log_part`` where ``ell`` is the formal
@@ -235,17 +236,33 @@ class PuiseuxSeries:
                       ) -> Optional[tuple[Fraction, Fraction]]:
         """(exponent, coefficient) of the first nonzero stored term below
         `below` (the truncation if omitted), or None if there is none.
-        Every check reads its verdict here; a `below` past the truncation
-        raises InsufficientOrder, since no coefficient there is justified."""
+        Every zero check reads its verdict here; a `below` past the
+        truncation raises InsufficientOrder, since no coefficient there is
+        justified."""
+        return self._term_below(next((i for i, x in enumerate(self.nums) if x), None), below)
+
+    def first_non_counting(self, below: Optional[QLike] = None
+                           ) -> Optional[tuple[Fraction, Fraction]]:
+        """(exponent, coefficient) of the first stored term below `below`
+        whose coefficient is not a non-negative integer, or None, read like
+        :meth:`first_nonzero`.  Every CFT-type check reads its verdict here."""
+        den = self.den
+        return self._term_below(
+            next((i for i, x in enumerate(self.nums) if x < 0 or x % den), None), below)
+
+    def _term_below(self, i: Optional[int], below: Optional[QLike]
+                    ) -> Optional[tuple[Fraction, Fraction]]:
+        """(exponent, coefficient) of stored term i if it lies below `below`
+        (the truncation if omitted), else None; raises InsufficientOrder
+        for a `below` past the truncation."""
         below = self.truncation if below is None else rat(below)
         if below > self.truncation:
             raise InsufficientOrder(
                 f"no verdict below q^{below}: exact only to q^{self.truncation}")
-        for i, x in enumerate(self.nums):
-            if x:
-                e = self.base + Q(i, self.grid)
-                return (e, Fraction(x, self.den)) if e < below else None
-        return None
+        if i is None:
+            return None
+        e = self.base + Q(i, self.grid)
+        return (e, Fraction(self.nums[i], self.den)) if e < below else None
 
     def leading(self) -> tuple[Fraction, Fraction]:
         """(exponent, coefficient) of the first nonzero stored term."""
@@ -461,27 +478,6 @@ class PuiseuxSeries:
 
     def is_zero_to_truncation(self) -> bool:
         return not any(self.nums)
-
-    def is_cft_type(self, depth: int) -> bool:
-        """Leading coefficient 1 and non-negative integer coefficients to `depth`.
-
-        `depth` counts whole powers of q past the leading exponent.
-        """
-        try:
-            e0, c0 = self.leading()
-        except SeriesError:
-            return False
-        if c0 != 1:
-            return False
-        if self.truncation <= e0 + depth:
-            raise InsufficientOrder(f"CFT check to depth {depth} exceeds truncation")
-        for i, x in enumerate(self.nums):
-            ex = self.base + Q(i, self.grid)
-            if ex > e0 + depth:
-                break
-            if x and ((ex - e0).denominator != 1 or x % self.den or x < 0):
-                return False
-        return True
 
     # -- serialization -------------------------------------------------
 

@@ -19,4 +19,5 @@ def catalog_reports():
 @pytest.fixture(scope="session")
 def character_reports():
     return {name: characters.verify_case(name, 25)
-            for name in ("A1", "A2", "G2", "D4", "F4", "E6", "E7", "E8")}
+            for name in ("A1", "A2", "G2", "D4", "F4", "E6", "E7", "E8",
+                         "formal24", "formal3/2")}

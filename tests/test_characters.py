@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mldelab import characters as ch
 from mldelab import forms as F
-from mldelab.mlde import flat_indicial_roots
-from mldelab.series import Q
+from mldelab.mlde import build_flat, flat_indicial_roots, frobenius_solve
+from mldelab.series import PuiseuxSeries, Q, rat_str
 
 
 def test_minimal_character_weights():
@@ -115,6 +115,29 @@ def test_construction_unavailable_for_non_lattice_cases():
 def test_verify_all_cases(character_reports):
     for name, rep in character_reports.items():
         assert rep["status"] == "verified", (name, rep)
+    assert {"formal24", "formal3/2"} <= set(character_reports)
+
+
+def test_formal_branch_needs_one_counting_solution():
+    # at s = -6/5 the solution at the root 1/5 belongs to the second-order
+    # factor: no integer rescale makes it count, so the branch takes `any`
+    s, r = Q(-6, 5), Q(1, 5)
+    assert r in flat_indicial_roots(s)
+    f = frobenius_solve(build_flat(s, 26), r, 25)
+    assert f.scale(f.truncate(r + 6).den).first_non_counting() is not None
+
+
+def test_failed_report_names_its_residual(monkeypatch):
+    # the A2 characters checked against flat(7/5) instead of flat(2/5): the
+    # residual at the first character's exponent is P(e), with P the
+    # indicial polynomial of flat(7/5)
+    monkeypatch.setattr(ch, "build_flat", lambda s, order: build_flat(s + 1, order))
+    rep = ch.verify_case("A2", 10)
+    e = Q(-1, 15)
+    residual = build_flat(Q(7, 5), 2).apply(PuiseuxSeries.q_power(e, 1)).coefficient(e)
+    assert rep["status"] == "failed"
+    assert rep["first_bad_exponent"] == "-1/15"
+    assert rep["residual"] == rat_str(residual) != "0"
 
 
 def test_a2_small_prefixes():

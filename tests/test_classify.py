@@ -2,10 +2,12 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from mldelab import catalog
 from mldelab.classify import (CASES, QUASIMODULAR_VALUES, classify_all,
                               enumerate_case, filter_candidates,
                               n1_polynomial_fixture, n2_polynomial_fixture,
                               strictly_modular_candidates)
+from mldelab.mlde import build_flat, flat_indicial_roots, frobenius_solve
 
 
 def _fr(*nums):
@@ -77,15 +79,15 @@ def test_n1_polynomial_vanishes_on_candidates():
 
 
 def test_n2_polynomial_vanishes_with_recursion():
-    from mldelab.mlde import build_flat, frobenius_solve, Resonance
+    from mldelab.mlde import Resonance
     for cid in (1, 4):
         case = CASES[cid]
         for s, a1 in enumerate_case(case)[:8]:
+            alpha = flat_indicial_roots(s)[cid - 1]
             try:
-                f = frobenius_solve(build_flat(s, 4), case.root_of_s(s), 2)
+                f = frobenius_solve(build_flat(s, 4), alpha, 2)
             except Resonance:
                 continue
-            alpha = case.root_of_s(s)
             a2 = f.coefficient(alpha + 2)
             assert n2_polynomial_fixture(cid, s, a1, a2) == 0
 
@@ -93,3 +95,29 @@ def test_n2_polynomial_vanishes_with_recursion():
 def test_quasimodular_values():
     assert set(QUASIMODULAR_VALUES) == _fr(
         (-318, 5), (-198, 5), (-138, 5), (-78, 5), (-18, 5), (42, 5))
+
+
+def test_filter_depth_is_the_deepest_witness():
+    # a candidate's witness is the first coefficient of its Frobenius
+    # solution, to depth 32, that is not a non-negative integer: every
+    # survivor has none, and each case's depth is its rejects' deepest one
+    for cid, case in CASES.items():
+        final = set(filter_candidates(case).final)
+        deepest = 0
+        for s, _ in enumerate_case(case):
+            alpha = flat_indicial_roots(s)[cid - 1]
+            bad = frobenius_solve(build_flat(s, 33), alpha, 32).first_non_counting()
+            assert (bad is None) == (s in final), (cid, s)
+            if bad is not None:
+                deepest = max(deepest, bad[0] - alpha)
+        assert deepest == case.filter_depth, cid
+    assert [CASES[c].filter_depth for c in (1, 2, 3, 4)] == [4, 32, 23, 3]
+
+
+def test_no_candidate_is_resonant():
+    for case in CASES.values():
+        assert filter_candidates(case).resonant == ()
+
+
+def test_classification_is_the_catalogued_parameters():
+    assert classify_all() == catalog.catalogued_parameters()

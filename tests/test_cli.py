@@ -64,6 +64,15 @@ def test_classify_case_and_all(capsys):
     assert len(payload["final"]) == 23
 
 
+@pytest.mark.parametrize("case", ["1", "2", "3", "4"])
+def test_classify_case_output_is_pinned(capsys, case):
+    # raw candidates, survivors at every depth and the final set, as
+    # committed in tests/data
+    code, out = run(capsys, "classify", "--case", case)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / f"classify-case{case}.json").read_text()
+
+
 def test_forms_dump(capsys):
     code, payload = run_json(capsys, "forms", "dump", "--name", "psi1",
                              "--order", "5")

@@ -137,6 +137,36 @@ def test_first_nonzero_matches_truncation(base, grid, xs, offset):
     assert s.first_nonzero() == first_nonzero_by_truncation(s, s.truncation)
 
 
+# -- suite 5c: first_non_counting against a term-by-term scan ---------
+#
+# The reference reads the Fraction view term by term; it shares no scan
+# with first_non_counting, which works on the integer numerators.
+
+def first_non_counting_by_terms(s: PuiseuxSeries, below: Fraction):
+    terms = ((s.base + Q(i, s.grid), c) for i, c in enumerate(s.coeffs))
+    return next(((e, c) for e, c in terms
+                 if e < below and (c.denominator != 1 or c < 0)), None)
+
+
+counting_coeffs = st.lists(st.sampled_from([Fraction(n) for n in (0, 0, 1, 2, 7)]
+                                           + [Fraction(-1), Fraction(1, 2), Fraction(-2, 3)]),
+                           min_size=1, max_size=8)
+
+
+@SET
+@given(small_rational, st.sampled_from([1, 2, 3]), counting_coeffs, st.integers(1, 6),
+       small_rational)
+def test_first_non_counting_matches_terms(base, grid, xs, k, offset):
+    s = PuiseuxSeries.make(base, xs, grid).scale(k)
+    below = s.base + offset + 1
+    if below > s.truncation:
+        with pytest.raises(InsufficientOrder):
+            s.first_non_counting(below)
+    else:
+        assert s.first_non_counting(below) == first_non_counting_by_terms(s, below)
+    assert s.first_non_counting() == first_non_counting_by_terms(s, s.truncation)
+
+
 # -- suite 6: the integer kernel against a Fraction schoolbook --------
 #
 # The references below work term by term on exponents with Fraction

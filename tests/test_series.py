@@ -125,11 +125,14 @@ def test_log_first_nonzero_takes_the_earlier_part():
 
 def test_cft_type():
     good = PuiseuxSeries.make(Q(-1, 10), [1, 8, 23, 68])
-    assert good.is_cft_type(3)
+    assert good.first_non_counting() is None
     frac = PuiseuxSeries.make(0, [1, Q(1, 2), 1, 1])
-    assert not frac.is_cft_type(3)
+    assert frac.first_non_counting() == (1, Q(1, 2))
+    assert frac.first_non_counting(1) is None      # `below` is strict
     neg = PuiseuxSeries.make(0, [1, -1, 1, 1])
-    assert not neg.is_cft_type(3)
+    assert neg.first_non_counting() == (1, -1)
+    with pytest.raises(InsufficientOrder):
+        neg.first_non_counting(5)                  # past the truncation
 
 
 def test_json_round_trip_plain():
