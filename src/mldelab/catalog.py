@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from importlib import resources
-from math import gcd
+from math import floor, gcd
 from typing import Callable, Optional, Sequence
 
 from . import forms as F
@@ -149,9 +149,87 @@ def _binary_form(terms, degree: int, values: Sequence[PuiseuxSeries]) -> Puiseux
 
 # -- shared constituents ----------------------------------------------
 
-def _ep(r: QLike, n: int) -> PuiseuxSeries:
-    """eta^r to n orders (r may be any rational)."""
-    return F.eta(n).pow(rat(r))
+class _Forms:
+    """What a recipe reads: the named forms at one order n (``k.psi1`` is
+    ``forms.psi1(n)``), the constant 1, a Frobenius log solution and the
+    quasimodular fit, all exact n + 1 steps past their base."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getattr__(self, name: str) -> PuiseuxSeries:
+        return getattr(F, name)(self.n)
+
+    def one(self) -> PuiseuxSeries:
+        return PuiseuxSeries.one(self.n)
+
+    def log_solution(self, s: QLike, alpha: Fraction) -> LogSeries:
+        return frobenius_solve_log(build_flat(s, self.n + 2), alpha, self.n)
+
+    def fit(self, s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries):
+        return _fit(s, x, y)
+
+
+class _Lead:
+    """A series reduced to its base exponent, the one thing about it that
+    does not depend on the order: products add bases, sums take the smaller
+    (a scalar sits at q^0), powers and substitutions scale it, and every
+    other operation a recipe applies keeps it."""
+
+    __slots__ = ("base",)
+    truncation = None  # only ever handed back to truncate, which keeps the base
+
+    def __init__(self, base: Fraction):
+        self.base = base
+
+    def __add__(self, other):
+        return _Lead(min(self.base, other.base if isinstance(other, _Lead) else 0))
+
+    def __mul__(self, other):
+        return _Lead(self.base + other.base) if isinstance(other, _Lead) else self
+
+    def __truediv__(self, other):
+        return self * other.invert() if isinstance(other, _Lead) else self
+
+    def pow(self, r: QLike) -> "_Lead":
+        return _Lead(self.base * rat(r))
+
+    def invert(self) -> "_Lead":
+        return self.pow(-1)
+
+    def leading(self) -> tuple[Fraction, int]:
+        return self.base, 1
+
+    def _same(self, *_):
+        return self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+    __pow__ = substitute_power = pow
+    __neg__ = euler_derivative = integrate_q = scale = truncate = _same
+
+
+class _Leads:
+    """The recipes' reading of :class:`_Forms` on leads: each form's base is
+    read off the form at order 0, a log solution starts at its root alpha,
+    and any fit will do, since a*x + b*y keeps the smaller base of x and y."""
+
+    def __getattr__(self, name: str) -> _Lead:
+        return _Lead(getattr(F, name)(0).base)
+
+    def one(self) -> _Lead:
+        return _Lead(Q(0))
+
+    def log_solution(self, s: QLike, alpha: Fraction) -> _Lead:
+        return _Lead(alpha)
+
+    def fit(self, s: Fraction, x: _Lead, y: _Lead) -> tuple[int, int]:
+        return 1, 1
+
+
+def _ep(r: QLike, k):
+    """eta^r from the forms k (r may be any rational)."""
+    return k.eta.pow(rat(r))
 
 
 def _pol(name: str, *vals: PuiseuxSeries) -> PuiseuxSeries:
@@ -164,16 +242,17 @@ def _unit(f: PuiseuxSeries) -> PuiseuxSeries:
 
 
 # -- recipe builders, one per subsection -------------------------------
-# Each returns {short_label: series}, everything exact to >= n orders
-# past each leading exponent (inputs are padded by the caller).  A recipe
-# carries no overall scale: the caller divides every plain entry by its
-# leading coefficient.  Constants that weigh one term against another
-# are part of the recipe and stay.
+# Each reads its forms from k (a _Forms at order n, or _Leads for the
+# margin, see section_margin) and returns {short_label: series}, every
+# entry exact n + 1 steps past its base.  A recipe carries no overall
+# scale: the caller divides every plain entry by its leading coefficient.
+# Constants that weigh one term against another are part of the recipe and
+# stay.
 
-def _bld_B_a(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    d2, h2 = F.delta2(n), F.h2(n)
-    em = _ep(Q(-42, 5), n)
+def _bld_B_a(k):
+    p1, p2 = k.psi1, k.psi2
+    d2, h2 = k.delta2, k.h2
+    em = _ep(Q(-42, 5), k)
     p1_5, p2_5 = p1**5, p2**5
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
     f0 = p2 * d2 * (11 * p1_10 - 66 * cross - p2_10 + h2) * em
@@ -185,12 +264,12 @@ def _bld_B_a(n):
     return {"f0": f0, "f4/5": f45, "f-1/2": fm12, "f-7/10": fm710}
 
 
-def _bld_B_b(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    i15, d15, i3 = F.i15(n), F.delta15(n), F.i3(n)
-    i3q5 = F.i3(n).substitute_power(5)
-    d3 = F.delta3(n)
-    em = _ep(Q(-32, 5), n)
+def _bld_B_b(k):
+    p1, p2 = k.psi1, k.psi2
+    i15, d15, i3 = k.i15, k.delta15, k.i3
+    i3q5 = k.i3.substitute_power(5)
+    d3 = k.delta3
+    em = _ep(Q(-32, 5), k)
     w = p2**5
     fm815 = p1 * _pol("G1", i15, d15, i3, i3q5) * em
     fm13 = p2 * _pol("G1", i15, d15, -i3, -i3q5) * em
@@ -199,19 +278,19 @@ def _bld_B_b(n):
     return {"f-8/15": fm815, "f-1/3": fm13, "f4/5": f45, "f0": f0}
 
 
-def _bld_B_c(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
+def _bld_B_c(k):
+    p1, p2 = k.psi1, k.psi2
     p1_5, p2_5 = p1**5, p2**5
     f15 = (p1**4 * p2 * (p1_5 - 3 * p2_5)).integrate_q()
     f45 = (p1 * p2**4 * (12 * p1_5 + 4 * p2_5)).integrate_q()
-    aux = (p1_5 * p1_5 - 36 * p1_5 * p2_5 - p2_5 * p2_5) * _ep(-4, n)
-    return {"f0": PuiseuxSeries.one(n), "f1/5": f15, "f4/5": f45, "aux": aux}
+    aux = (p1_5 * p1_5 - 36 * p1_5 * p2_5 - p2_5 * p2_5) * _ep(-4, k)
+    return {"f0": k.one(), "f1/5": f15, "f4/5": f45, "aux": aux}
 
 
-def _bld_B_d(n):
-    th, thq5 = F.theta(n), F.theta(n).substitute_power(5)
-    d4, d4q5 = F.delta4(n), F.delta4(n).substitute_power(5)
-    e, ip1, ip2 = _ep(Q(-3, 5), n), F.psi1(n).pow(-1), F.psi2(n).pow(-1)
+def _bld_B_d(k):
+    th, thq5 = k.theta, k.theta.substitute_power(5)
+    d4, d4q5 = k.delta4, k.delta4.substitute_power(5)
+    e, ip1, ip2 = _ep(Q(-3, 5), k), k.psi1.pow(-1), k.psi2.pow(-1)
     return {
         "f0": (th + thq5) * e * ip1,
         "f4/5": (th - thq5) * e * ip2,
@@ -220,11 +299,11 @@ def _bld_B_d(n):
     }
 
 
-def _bld_B_e(n):
-    i15, d15, i3 = F.i15(n), F.delta15(n), F.i3(n)
-    i3q5 = F.i3(n).substitute_power(5)
-    e, ip1, ip2 = _ep(Q(-8, 5), n), F.psi1(n).pow(-1), F.psi2(n).pow(-1)
-    d3sq = F.delta3(n) ** 2
+def _bld_B_e(k):
+    i15, d15, i3 = k.i15, k.delta15, k.i3
+    i3q5 = k.i3.substitute_power(5)
+    e, ip1, ip2 = _ep(Q(-8, 5), k), k.psi1.pow(-1), k.psi2.pow(-1)
+    d3sq = k.delta3 ** 2
     # the printed denominators of the last two omit the Delta3^2 factor;
     # without it the weight is 3 instead of 1 and the leading exponent is
     # off the printed value
@@ -236,9 +315,9 @@ def _bld_B_e(n):
     }
 
 
-def _bld_B_f(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    em = _ep(Q(-12, 5), n)
+def _bld_B_f(k):
+    p1, p2 = k.psi1, k.psi2
+    em = _ep(Q(-12, 5), k)
     p1_5, p2_5 = p1**5, p2**5
     return {
         "f0": p1 * (p1_5 + 2 * p2_5) * em,
@@ -248,12 +327,12 @@ def _bld_B_f(n):
     }
 
 
-def _bld_B_g(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    h2, h2q5 = F.h2(n), F.h2(n).substitute_power(5)
-    d2, d2q5 = F.delta2(n), F.delta2(n).substitute_power(5)
+def _bld_B_g(k):
+    p1, p2 = k.psi1, k.psi2
+    h2, h2q5 = k.h2, k.h2.substitute_power(5)
+    d2, d2q5 = k.delta2, k.delta2.substitute_power(5)
     p1q2, p2q2 = p1.substitute_power(2), p2.substitute_power(2)
-    em = _ep(Q(-18, 5), n)
+    em = _ep(Q(-18, 5), k)
     p1_5, p2_5 = p1**5, p2**5
     a5, b5 = p1q2**5, p2q2**5
     body = 8 * p2_5 * (18 * p1_5 + p2_5) + 16 * (a5 * a5 + 21 * a5 * b5 - 2 * b5 * b5)
@@ -269,9 +348,9 @@ def _bld_B_g(n):
     }
 
 
-def _bld_B_h(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    em = _ep(Q(-24, 5), n)
+def _bld_B_h(k):
+    p1, p2 = k.psi1, k.psi2
+    em = _ep(Q(-24, 5), k)
     p1_5, p2_5 = p1**5, p2**5
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
     return {
@@ -282,12 +361,12 @@ def _bld_B_h(n):
     }
 
 
-def _bld_B_i(n):
-    i15, d15, i3 = F.i15(n), F.delta15(n), F.i3(n)
-    i3q5 = F.i3(n).substitute_power(5)
-    d3 = F.delta3(n)
-    e = _ep(Q(-28, 5), n)
-    p1, p2 = F.psi1(n), F.psi2(n)
+def _bld_B_i(k):
+    i15, d15, i3 = k.i15, k.delta15, k.i3
+    i3q5 = k.i3.substitute_power(5)
+    d3 = k.delta3
+    e = _ep(Q(-28, 5), k)
+    p1, p2 = k.psi1, k.psi2
     ip1, ip2 = p1.pow(-1), p2.pow(-1)
     w = p2**5
     return {
@@ -300,12 +379,12 @@ def _bld_B_i(n):
     }
 
 
-def _bld_B_j(n):
-    th, thq5 = F.theta(n), F.theta(n).substitute_power(5)
-    p1, p2 = F.psi1(n), F.psi2(n)
-    d4, d4q5 = F.delta4(n), F.delta4(n).substitute_power(5)
+def _bld_B_j(k):
+    th, thq5 = k.theta, k.theta.substitute_power(5)
+    p1, p2 = k.psi1, k.psi2
+    d4, d4q5 = k.delta4, k.delta4.substitute_power(5)
     p1q4_5, p2q4_5 = p1.substitute_power(4) ** 5, p2.substitute_power(4) ** 5
-    e = _ep(Q(-33, 5), n)
+    e = _ep(Q(-33, 5), k)
     ip1, ip2, id4 = p1.pow(-1), p2.pow(-1), d4.invert()
     w = d4**3 * d4q5
     return {
@@ -316,31 +395,31 @@ def _bld_B_j(n):
     }
 
 
-def _bld_B_k(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    em = _ep(Q(-36, 5), n)
+def _bld_B_k(k):
+    p1, p2 = k.psi1, k.psi2
+    em = _ep(Q(-36, 5), k)
     p1_5, p2_5 = p1**5, p2**5
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
     p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
     f0 = p1**3 * (p1_15 + 126 * p1_10 * p2_5 + 117 * p1_5 * p2_10 - 12 * p2_15) * em
     f35 = p2**3 * (12 * p1_15 + 117 * p1_10 * p2_5 - 126 * p1_5 * p2_10 + p2_15) * em
     f45 = p1**4 * p2**4 * (9 * p1_10 + 26 * cross - 9 * p2_10) * em
-    log = frobenius_solve_log(build_flat(6, n + 2), Q(1, 2), n)
+    log = k.log_solution(6, Q(1, 2))
     return {"f0": f0, "f3/5": f35, "f4/5": f45, "log": log}
 
 
-def _bld_B_l(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
+def _bld_B_l(k):
+    p1, p2 = k.psi1, k.psi2
     p1_5, p2_5 = p1**5, p2**5
     p1_10, p2_10 = p1_5 * p1_5, p2_5 * p2_5
     p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
-    em = _ep(Q(-38, 5), n)
+    em = _ep(Q(-38, 5), k)
     f0 = _unit(p1**4 * (p1_15 + 171 * p1_10 * p2_5 + 247 * p1_5 * p2_10
                         - 57 * p2_15) * em)
     f45 = _unit(p2**4 * (57 * p1_15 + 247 * p1_10 * p2_5 - 171 * p1_5 * p2_10
                          + p2_15) * em)
-    e4m = _ep(-4, n)
-    e185 = _ep(Q(18, 5), n)
+    e4m = _ep(-4, k)
+    e185 = _ep(Q(18, 5), k)
     f56 = (30 * f45 * (p1**4 * p2 * (p1_5 - 3 * p2_5) * e4m)
            - f0 * (f45 * e185 * p2).integrate_q())
     f1930 = (10 * f0 * (p1 * p2**4 * (3 * p1_5 + p2_5) * e4m) / 19
@@ -348,9 +427,9 @@ def _bld_B_l(n):
     return {"f0": f0, "f4/5": f45, "f5/6": f56, "f19/30": f1930}
 
 
-def _bld_B_m(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    em = _ep(-12, n)
+def _bld_B_m(k):
+    p1, p2 = k.psi1, k.psi2
+    em = _ep(-12, k)
     return {
         "f0": _pol("B.m.P", p1, p2) * em,
         # printed denominator "3 eta^22" has the wrong weight; eta^12 is forced
@@ -360,22 +439,22 @@ def _bld_B_m(n):
     }
 
 
-def _bld_B_n(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
+def _bld_B_n(k):
+    p1, p2 = k.psi1, k.psi2
     # the printed eta^12 under G11 has weight 6, but G11 has weight 48/5;
     # eta^(96/5) (used by the two sibling entries) is forced
-    em = _ep(Q(-96, 5), n)
+    em = _ep(Q(-96, 5), k)
     return {
         "f-4/5": _pol("G11", p1, p2) * em,
-        "f0": PuiseuxSeries.one(n),
+        "f0": k.one(),
         "f4/5": _pol("G12", p1, p2) * em,
         "f1": _pol("G13", p1, p2) * em,
     }
 
 
-def _bld_B_o(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    em = _ep(-12, n)
+def _bld_B_o(k):
+    p1, p2 = k.psi1, k.psi2
+    em = _ep(-12, k)
     return {
         # printed with a global minus sign, contradicting its own leading
         # coefficient +1; the unsigned form is the solution
@@ -386,9 +465,9 @@ def _bld_B_o(n):
     }
 
 
-def _bld_B_p(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    em = _ep(Q(-24, 5), n)
+def _bld_B_p(k):
+    p1, p2 = k.psi1, k.psi2
+    em = _ep(Q(-24, 5), k)
     p1_5, p2_5 = p1**5, p2**5
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
     return {
@@ -403,16 +482,16 @@ def _bld_B_p(n):
     }
 
 
-def _bld_B_q(n):
-    p1, p2 = F.psi1(n), F.psi2(n)
-    e25 = _ep(Q(-2, 5), n)
+def _bld_B_q(k):
+    p1, p2 = k.psi1, k.psi2
+    e25 = _ep(Q(-2, 5), k)
     f0 = _unit(p2 * e25)
     fm15 = _unit(p1 * e25)
     p1_5, p2_5 = p1**5, p2**5
     p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
     p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
     br2 = (p1_10 - 11 * cross - p2_10) ** 2
-    e14m, e4m = _ep(-14, n), _ep(-4, n)
+    e14m, e4m = _ep(-14, k), _ep(-4, k)
     fm16 = (30 * p1**7 * p2**3 * (p1_5 - 3 * p2_5) * br2 * e14m
             - f0 * (p1_5 * (p1_15 + 171 * p1_10 * p2_5 + 247 * p1_5 * p2_10
                             - 57 * p2_15) * e4m).integrate_q())
@@ -448,13 +527,14 @@ def _fit(s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries) -> tuple[Fraction, Fra
 
 
 def _qm(s: Fraction, m: Fraction, p: PuiseuxSeries, q: PuiseuxSeries,
-        degree: int, n: int):
+        degree: int, k):
     """(F, G) for P(u,v) = p and Q(u,v) = q of the given degree in (u, v).
-    The terms of a*x + b*y cancel up to the entry's exponent, so the scale
-    is read off the whole sum."""
-    em = _ep(-m, n)
+    The terms of a*x + b*y cancel from min(x.base, y.base) up to the
+    entry's exponent, so the scale is read off the whole sum, and those
+    cancelled steps are the section's margin."""
+    em = _ep(-m, k)
     x, y = p.euler_derivative() * em, q * em
-    a, b = _fit(s, x, y)
+    a, b = k.fit(s, x, y)
     f = x * a + y * b
     lead = f.leading()[1]
     f, a = f.scale(1 / lead), a / lead
@@ -476,39 +556,39 @@ _QUASIMODULAR: dict[str, tuple[str, str, Fraction, str]] = {
 }
 
 
-def _bld_C(section: str, n: int) -> dict:
+def _bld_C(section: str, k) -> dict:
     pname, qname, m, swapped = _QUASIMODULAR[section]
     s = _section_parameter(section)
-    p1, p2 = F.psi1(n), F.psi2(n)
+    p1, p2 = k.psi1, k.psi2
     out = {}
     for name in ("f0", "f4/5"):
         u, v = (p2, -p1) if name == swapped else (p1, p2)
         out[name], out["g" + name[1:]] = _qm(
             s, m, _pol(pname, u, v), _pol(qname, u, v),
-            polynomial(pname)["degree"], n)
+            polynomial(pname)["degree"], k)
     return out
 
 
-def _bld_C_e(n):
+def _bld_C_e(k):
     # P = Q = v, of degree 1; the fit finds b = 0
-    s, p1, p2 = _section_parameter("C.e"), F.psi1(n), F.psi2(n)
-    f0, g0 = _qm(s, Q(12, 5), p2, p2, 1, n)
-    f45, g45 = _qm(s, Q(12, 5), -p1, -p1, 1, n)
+    s, p1, p2 = _section_parameter("C.e"), k.psi1, k.psi2
+    f0, g0 = _qm(s, Q(12, 5), p2, p2, 1, k)
+    f45, g45 = _qm(s, Q(12, 5), -p1, -p1, 1, k)
     return {"f0": f0, "f4/5": f45, "g0": g0, "g4/5": g45}
 
 
-def _bld_C_f(n):
+def _bld_C_f(k):
     # P = Q, and the fit finds b = 0; f0's a = 5/228 is printed with 28
-    s, p1, p2 = _section_parameter("C.f"), F.psi1(n), F.psi2(n)
+    s, p1, p2 = _section_parameter("C.f"), k.psi1, k.psi2
     out = {}
     for name, table in (("f0", "psi-bracket-2"), ("f1/5", "psi-bracket-1")):
         pv = _pol(table, p1, p2)
         out[name], out["g" + name[1:]] = _qm(
-            s, Q(48, 5), pv, pv, polynomial(table)["degree"], n)
+            s, Q(48, 5), pv, pv, polynomial(table)["degree"], k)
     return out
 
 
-_BUILDERS: dict[str, Callable[[int], dict]] = {
+_BUILDERS: dict[str, Callable[[object], dict]] = {
     "B.a": _bld_B_a, "B.b": _bld_B_b, "B.c": _bld_B_c, "B.d": _bld_B_d,
     "B.e": _bld_B_e, "B.f": _bld_B_f, "B.g": _bld_B_g, "B.h": _bld_B_h,
     "B.i": _bld_B_i, "B.j": _bld_B_j, "B.k": _bld_B_k, "B.l": _bld_B_l,
@@ -728,26 +808,59 @@ def entry(label: str) -> CatalogEntry:
 
 # -- building ----------------------------------------------------------
 
-_MARGIN = 16
+@lru_cache(maxsize=None)
+def section_margin(section: str) -> int:
+    """The steps a section's recipe loses to truncation.
+
+    Every form is exact n + 1 steps past its base, and no operation a
+    recipe applies shortens that reach past the result's base, so each
+    entry comes out exact to base + n + 1.  What a recipe loses is
+    cancellation: where its terms cancel, as ``_qm``'s a*x + b*y does from
+    min(x.base, y.base) up to the entry's exponent, the entry leads at
+    exponent > base.  An entry built at n is therefore exact past its
+    exponent + order when n >= order + floor(exponent - base).  The bases
+    do not depend on n, so the recipe is run once on leads (``_Leads``),
+    which track the base alone and build no coefficient; the margin is the
+    largest such floor over the section."""
+    leads = _BUILDERS[section](_Leads())
+    return max(floor(ENTRIES[f"{section}.{name}"].exponent - lead.base)
+               for name, lead in leads.items())
+
+
+def section_build_order(section: str, order: int) -> int:
+    """The order a section is built at for entries exact `order` steps past
+    their exponents.  ``verify_entry`` also reads each printed prefix
+    whatever the order, so the section reaches its longest one too."""
+    prefix = max(len(e.printed_prefix or ()) for e in ENTRIES.values()
+                 if e.section == section)
+    return max(order, prefix) + section_margin(section)
+
+
+def _build_section(section: str, n: int) -> dict:
+    built = _BUILDERS[section](_Forms(n))
+    return {name: _unit(f) if isinstance(f, PuiseuxSeries) else f
+            for name, f in built.items()}
 
 
 @lru_cache(maxsize=64)
 def _built_section(section: str, order: int) -> dict:
-    built = _BUILDERS[section](order + _MARGIN)
-    return {name: _unit(f) if isinstance(f, PuiseuxSeries) else f
-            for name, f in built.items()}
+    return _build_section(section, section_build_order(section, order))
+
+
+def _reaching(label: str, f: SeriesLike, order: int) -> SeriesLike:
+    """f, if it is exact through q^(exponent + order); else InsufficientOrder."""
+    want = entry(label).exponent + order
+    if f.truncation <= want:
+        raise InsufficientOrder(
+            f"{label}: built to q^{f.truncation}, requested through q^{want}")
+    return f
 
 
 def build_entry(label: str, order: int) -> SeriesLike:
     """Evaluate the entry's recipe, exact to >= order steps past its lead."""
     e = entry(label)
     short = label[len(e.section) + 1:]
-    f = _built_section(e.section, order)[short]
-    want = e.exponent + order
-    if f.truncation <= want:
-        raise InsufficientOrder(
-            f"{label}: built to q^{f.truncation}, requested through q^{want}")
-    return f
+    return _reaching(label, _built_section(e.section, order)[short], order)
 
 
 def aux_third_order(which: str, order: int) -> MLDEOperator:
@@ -860,7 +973,7 @@ def wronskian_over_eta24(s: QLike, order: int = 25):
         raise NotInCandidateList(f"s = {s} has no plain catalogued system")
     system = [f for _, f in fundamental_system(s, order + 8)]
     w = modular_wronskian(system)
-    ratio = w * _ep(-24, order + 8)
+    ratio = w * F.eta(order + 8).pow(-24)
     lead_e, lead_c = ratio.leading()
     if lead_e != 0:
         return lead_c, False

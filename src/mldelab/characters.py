@@ -426,6 +426,20 @@ def ramond_character_basis(name: str, order: int = 25
     return out
 
 
+#: the leading terms whose denominators fix a solution's integer rescale
+_SETTLED_TERMS = 6
+
+
+def _non_counting_after_rescale(f: PuiseuxSeries) -> Optional[tuple[Fraction, Fraction]]:
+    """The first term of f, rescaled by the lcm of the denominators of its
+    first six terms, that is not a non-negative integer, or None.  A
+    character-type solution is non-negative with denominators that settle
+    that early, so one integer rescale (the unknown leading multiplicity)
+    clears them all; a denominator first met later is a verdict against f."""
+    settled = f.truncate(min(f.base + _SETTLED_TERMS, f.truncation)).den
+    return f.scale(settled).first_non_counting()
+
+
 def verify_case(name: str, order: int = 25) -> dict:
     """Cross-check one case against the fourth-order family.  A failed
     report carries a detail line and, when a series check failed, the first
@@ -443,11 +457,7 @@ def verify_case(name: str, order: int = 25) -> dict:
         op = build_flat(d.s, order + 1)
         failing = []
         for r in distinct:
-            f = frobenius_solve(op, r, order)
-            # non-negative, with denominators stabilizing early, so a single
-            # integer rescale (the unknown leading multiplicity: the lcm of
-            # the first six denominators) clears them
-            bad = f.scale(f.truncate(min(r + 6, f.truncation)).den).first_non_counting()
+            bad = _non_counting_after_rescale(frobenius_solve(op, r, order))
             if bad is not None:
                 failing.append((r, bad))
         cft = len(failing) < len(distinct) if d.verification == "formal" else not failing

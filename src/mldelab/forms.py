@@ -29,21 +29,21 @@ def _divisor_power_sums(k: int, n_max: int) -> tuple[int, ...]:
 def eisenstein_e2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """E2 = 1 - 24 sum sigma_1(n) q^n (quasimodular, weight 2)."""
     s = _divisor_power_sums(1, order)
-    return PuiseuxSeries.make(0, [1] + [-24 * s[n] for n in range(1, order + 1)])
+    return PuiseuxSeries.from_ints(0, 1, [1] + [-24 * s[n] for n in range(1, order + 1)])
 
 
 @lru_cache(maxsize=None)
 def eisenstein_e4(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n."""
     s = _divisor_power_sums(3, order)
-    return PuiseuxSeries.make(0, [1] + [240 * s[n] for n in range(1, order + 1)])
+    return PuiseuxSeries.from_ints(0, 1, [1] + [240 * s[n] for n in range(1, order + 1)])
 
 
 @lru_cache(maxsize=None)
 def eisenstein_e6(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """E6 = 1 - 504 sum sigma_5(n) q^n."""
     s = _divisor_power_sums(5, order)
-    return PuiseuxSeries.make(0, [1] + [-504 * s[n] for n in range(1, order + 1)])
+    return PuiseuxSeries.from_ints(0, 1, [1] + [-504 * s[n] for n in range(1, order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +55,7 @@ def eisenstein_e8(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 @lru_cache(maxsize=None)
 def eta(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """Dedekind eta = q^(1/24) prod (1-q^n), via the pentagonal number theorem."""
-    cs = [Q(0)] * (order + 1)
+    cs = [0] * (order + 1)
     k = 0
     while True:
         done = True
@@ -67,7 +67,7 @@ def eta(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
         if done:
             break
         k += 1
-    return PuiseuxSeries.make(Q(1, 24), cs)
+    return PuiseuxSeries.from_ints(Q(1, 24), 1, cs)
 
 
 def eta_quotient(factors: dict[int, Fraction | int], order: int = DEFAULT_ORDER) -> PuiseuxSeries:
@@ -85,11 +85,11 @@ def eta_quotient(factors: dict[int, Fraction | int], order: int = DEFAULT_ORDER)
 @lru_cache(maxsize=None)
 def h2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """Weight-2 level-2 form 1 + 24 sum (sum of odd divisors of n) q^n."""
-    cs = [Q(1)] + [Q(0)] * order
+    cs = [1] + [0] * order
     for d in range(1, order + 1, 2):
         for n in range(d, order + 1, d):
             cs[n] += 24 * d
-    return PuiseuxSeries.make(0, cs)
+    return PuiseuxSeries.from_ints(0, 1, cs)
 
 
 @lru_cache(maxsize=None)
@@ -106,13 +106,13 @@ def delta2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 @lru_cache(maxsize=None)
 def i3(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """Weight-1 level-3 form 1 + 6 sum (sum over d|n of Legendre(d|3)) q^n."""
-    cs = [Q(1)] + [Q(0)] * order
+    cs = [1] + [0] * order
     for d in range(1, order + 1):
         chi = (0, 1, -1)[d % 3]
         if chi:
             for n in range(d, order + 1, d):
                 cs[n] += 6 * chi
-    return PuiseuxSeries.make(0, cs)
+    return PuiseuxSeries.from_ints(0, 1, cs)
 
 
 @lru_cache(maxsize=None)
@@ -124,12 +124,12 @@ def delta3(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 @lru_cache(maxsize=None)
 def theta(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """theta = sum over all integers n of q^(n^2) (weight 1/2, level 4)."""
-    cs = [Q(1)] + [Q(0)] * order
+    cs = [1] + [0] * order
     n = 1
     while n * n <= order:
-        cs[n * n] = Q(2)
+        cs[n * n] = 2
         n += 1
-    return PuiseuxSeries.make(0, cs)
+    return PuiseuxSeries.from_ints(0, 1, cs)
 
 
 @lru_cache(maxsize=None)
@@ -140,13 +140,12 @@ def delta4(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 
 def _restricted_partition_product(residues: set[int], order: int) -> PuiseuxSeries:
     """prod over n > 0 with n mod 5 in `residues` of (1 - q^n)^(-1)."""
-    cs = [Q(0)] * (order + 1)
-    cs[0] = Q(1)
+    cs = [1] + [0] * order
     for n in range(1, order + 1):
         if n % 5 in residues:
             for j in range(n, order + 1):
                 cs[j] += cs[j - n]
-    return PuiseuxSeries.make(0, cs)
+    return PuiseuxSeries.from_ints(0, 1, cs)
 
 
 @lru_cache(maxsize=None)

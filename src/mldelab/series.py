@@ -10,10 +10,14 @@ lcm and a rescale, ``scale``, ``-`` and ``D`` are integer list operations,
 products take the numerators straight into their quadratic loop, and
 recurrences (powers, inverses, Frobenius sweeps) keep their earlier
 outputs over a running denominator, the lcm of their denominators so far.
-Each result is reduced by one gcd.  ``Fraction`` appears only at the
-boundary: ``coefficient``, the verdict readers ``first_nonzero`` and
-``first_non_counting`` (which build one only for the term they return), the
-cached ``coeffs`` view and the rational constructor.
+Each result is reduced by one gcd.  Exponent bookkeeping runs on ints
+too: inside a series ``truncation - base`` is ``len(nums)/grid``, so a
+product is exact to ``min(len_a * sa, len_b * sb)`` steps of the common
+grid and two operands with the same base align without a ``Fraction``.
+``Fraction`` appears only where bases differ and at the boundary: the
+``base`` and ``truncation`` of a series, ``coefficient`` (which builds one
+for the term it returns), the verdict readers ``first_nonzero`` and
+``first_non_counting``, the ``coeffs`` view and the rational constructor.
 
 A depth-1 logarithmic extension is provided by :class:`LogSeries`,
 representing ``plain + ell*log_part`` where ``ell`` is the formal
@@ -83,6 +87,12 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """rat_str of num/den (den > 0), without building the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 class _RunningDenominator:
     """The outputs of a recurrence as integer numerators ``nums`` over
     ``den``, the lcm of the reduced denominators appended so far.  ``nums``
@@ -121,11 +131,11 @@ class PuiseuxSeries:
     when their base, grid and exact coefficients agree.
     ``PuiseuxSeries(base, grid, coeffs)`` takes rational coefficients;
     :meth:`from_ints` takes numerators over one denominator, and every kernel
-    result leaves through it.  ``coeffs`` is a read-only ``Fraction`` view,
-    built on first use.  Instances are immutable and hashable.
+    result leaves through it.  ``coeffs`` is a ``Fraction`` view, built on
+    each read.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("base", "grid", "nums", "den", "_coeffs")
+    __slots__ = ("base", "grid", "nums", "den")
     base: Fraction
     grid: int
     nums: tuple[int, ...]
@@ -152,9 +162,11 @@ class PuiseuxSeries:
         if g != 1:
             nums = [x // g for x in nums]
             den //= g
-        for name, value in (("base", rat(base)), ("grid", grid), ("nums", tuple(nums)),
-                            ("den", den), ("_coeffs", None)):
-            object.__setattr__(self, name, value)
+        assign = object.__setattr__
+        assign(self, "base", rat(base))
+        assign(self, "grid", grid)
+        assign(self, "nums", tuple(nums))
+        assign(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PuiseuxSeries is immutable: cannot set {name!r}")
@@ -177,13 +189,9 @@ class PuiseuxSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions; built once, then cached."""
-        cs = self._coeffs
-        if cs is None:
-            den = self.den
-            cs = tuple(Fraction(x, den) for x in self.nums)
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        """The coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- construction -------------------------------------------------
 
@@ -255,14 +263,15 @@ class PuiseuxSeries:
         """(exponent, coefficient) of stored term i if it lies below `below`
         (the truncation if omitted), else None; raises InsufficientOrder
         for a `below` past the truncation."""
-        below = self.truncation if below is None else rat(below)
-        if below > self.truncation:
-            raise InsufficientOrder(
-                f"no verdict below q^{below}: exact only to q^{self.truncation}")
+        if below is not None:
+            below = rat(below)
+            if below > self.truncation:
+                raise InsufficientOrder(
+                    f"no verdict below q^{below}: exact only to q^{self.truncation}")
         if i is None:
             return None
         e = self.base + Q(i, self.grid)
-        return (e, Fraction(self.nums[i], self.den)) if e < below else None
+        return (e, Fraction(self.nums[i], self.den)) if below is None or e < below else None
 
     def leading(self) -> tuple[Fraction, Fraction]:
         """(exponent, coefficient) of the first nonzero stored term."""
@@ -271,28 +280,43 @@ class PuiseuxSeries:
             raise SeriesError("series is zero to its truncation order")
         return lead
 
+    def _steps_to(self, e: Fraction) -> tuple[int, int]:
+        """(num, den) with den > 0 and num/den = (e - base) * grid, the grid
+        steps from the base to q^e."""
+        base = self.base
+        bd, ed = base.denominator, e.denominator
+        return (e.numerator * bd - base.numerator * ed) * self.grid, ed * bd
+
     def coefficient(self, e: QLike) -> Fraction:
         """Exact coefficient of q^e; raises past the truncation."""
         e = rat(e)
-        if e >= self.truncation:
+        num, den = self._steps_to(e)
+        if num >= len(self.nums) * den:
             raise InsufficientOrder(f"coefficient at q^{e} is beyond q^{self.truncation}")
-        step = (e - self.base) * self.grid
-        if step.denominator != 1 or step < 0:
+        if num < 0 or num % den:
             return Q(0)
-        return self.coeffs[int(step)]
+        return Fraction(self.nums[num // den], self.den)
 
     # -- arithmetic ----------------------------------------------------
 
     def _aligned(self, other: "PuiseuxSeries"):
-        """(base, grid, n): the common base and grid of self and other, and
-        the number n of grid steps both are exact to.  trunc - base is a
-        whole number of steps, since each operand's base offset and length
-        are."""
-        base = min(self.base, other.base)
-        grid = lcm(self.grid, other.grid,
-                   (self.base - base).denominator, (other.base - base).denominator)
-        trunc = min(self.truncation, other.truncation)
-        return base, grid, int((trunc - base) * grid)
+        """(base, grid, n, offsets): the common base and grid of self and
+        other, the number n of grid steps both are exact to, and each
+        operand's offset in steps from the common base.  Each operand is
+        exact len(nums)/grid past its own base, so n is a whole number of
+        steps; only unequal bases need a Fraction, their difference."""
+        ga, gb = self.grid, other.grid
+        if self.base == other.base:
+            grid = ga if ga == gb else lcm(ga, gb)
+            return (self.base, grid, min(len(self.nums) * (grid // ga),
+                                         len(other.nums) * (grid // gb)), (0, 0))
+        gap = other.base - self.base
+        grid = lcm(ga, gb, gap.denominator)
+        shift = abs(gap.numerator) * (grid // gap.denominator)
+        base, offsets = (self.base, (0, shift)) if gap > 0 else (other.base, (shift, 0))
+        n = min(offsets[0] + len(self.nums) * (grid // ga),
+                offsets[1] + len(other.nums) * (grid // gb))
+        return base, grid, n, offsets
 
     def __add__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction)):
@@ -302,13 +326,12 @@ class PuiseuxSeries:
             c = rat(other)
             other = PuiseuxSeries.from_ints(
                 0, t.denominator, [c.numerator] + [0] * (t.numerator - 1), c.denominator)
-        base, grid, n = self._aligned(other)
+        base, grid, n, offsets = self._aligned(other)
         if n <= 0:
             raise InsufficientOrder("operands share no justified coefficient range")
         den = lcm(self.den, other.den)
         acc = [0] * n
-        for s in (self, other):
-            off = int((s.base - base) * grid)
+        for s, off in zip((self, other), offsets):
             step = grid // s.grid
             k = min(len(s.nums), (n - off + step - 1) // step)  # terms below n
             if k > 0:
@@ -344,14 +367,14 @@ class PuiseuxSeries:
         if isinstance(other, LogSeries):
             return NotImplemented
         # trunc - base is min(len_a/grid_a, len_b/grid_b): whole steps of grid
-        grid = lcm(self.grid, other.grid)
-        base = self.base + other.base
-        trunc = min(self.truncation + other.base, other.truncation + self.base)
-        n = int((trunc - base) * grid)
+        ga, gb = self.grid, other.grid
+        grid = ga if ga == gb else lcm(ga, gb)
+        sa = grid // ga
+        sb = grid // gb
+        n = min(len(self.nums) * sa, len(other.nums) * sb)
         if n <= 0:
             raise InsufficientOrder("product has no justified coefficients")
-        sa = grid // self.grid
-        sb = grid // other.grid
+        base = self.base + other.base
         # only the terms that land below n take part
         xs = self.nums[:(n + sa - 1) // sa]
         nz = [(j * sb, y) for j, y in enumerate(other.nums[:(n + sb - 1) // sb]) if y]
@@ -457,21 +480,20 @@ class PuiseuxSeries:
 
     def truncate(self, trunc: QLike) -> "PuiseuxSeries":
         """Restrict the claimed exactness to q^trunc (must not exceed the current one)."""
-        trunc = rat(trunc)
-        if trunc > self.truncation:
+        n, step = self._steps_to(rat(trunc))
+        if n > len(self.nums) * step:
             raise InsufficientOrder("cannot extend a truncation")
-        n = (trunc - self.base) * self.grid
-        grid = self.grid
-        nums = self.nums
-        if n.denominator != 1:
-            step = n.denominator
-            grid = self.grid * step
-            nums = [0] * (len(self.nums) * step)
-            nums[::step] = self.nums
-            n = (trunc - self.base) * grid
-        n = int(n)
         if n <= 0:
             raise InsufficientOrder("truncation precedes the base exponent")
+        g = gcd(n, step)
+        n, step = n // g, step // g
+        grid = self.grid
+        nums = self.nums
+        if step != 1:
+            # the cut falls between grid points: refine the grid to reach it
+            grid *= step
+            nums = [0] * (len(self.nums) * step)
+            nums[::step] = self.nums
         return PuiseuxSeries.from_ints(self.base, grid, nums[:n], self.den)._normalized()
 
     # -- comparisons ---------------------------------------------------
@@ -486,7 +508,7 @@ class PuiseuxSeries:
             "base_exponent": rat_str(self.base),
             "grid": self.grid,
             "order": self.order,
-            "coeffs": [rat_str(c) for c in self.coeffs],
+            "coeffs": [_ratio_str(x, self.den) for x in self.nums],
         }
 
     def to_json(self) -> str:
@@ -593,14 +615,14 @@ class LogSeries:
         n = int((self.truncation - base) * grid)
 
         def regrid(s: PuiseuxSeries) -> list[str]:
-            out = [Q(0)] * n
+            out = ["0"] * n
             off = int((s.base - base) * grid)
             step = grid // s.grid
-            for i, c in enumerate(s.coeffs):
+            for i, x in enumerate(s.nums):
                 j = off + i * step
                 if j < n:
-                    out[j] = c
-            return [rat_str(c) for c in out]
+                    out[j] = _ratio_str(x, s.den)
+            return out
 
         return {
             "base_exponent": rat_str(base),

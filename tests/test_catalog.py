@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mldelab import catalog
 from mldelab import forms as F
-from mldelab.series import LogSeries, PuiseuxSeries, Q
+from mldelab.series import InsufficientOrder, LogSeries, PuiseuxSeries, Q
 
 
 def test_entry_inventory():
@@ -26,6 +26,36 @@ def test_verify_all_clean(catalog_reports):
     failed = [r["label"] for r in catalog_reports if r["status"] == "failed"]
     assert failed == []
     assert len(catalog_reports) == 92
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_verify_all_at_low_orders(order):
+    # the printed prefixes (up to 7 coefficients) are checked at every order
+    reports = catalog.verify_all(order)
+    assert [r["status"] for r in reports] == ["verified"] * 92
+
+
+def test_section_margins_are_derived():
+    margins = {section: catalog.section_margin(section) for section in catalog._BUILDERS}
+    assert {s: m for s, m in margins.items() if s.startswith("C.")} == {
+        "C.a": 6, "C.b": 4, "C.c": 3, "C.d": 2, "C.e": 1, "C.f": 1}
+    assert all(0 <= m <= 2 for s, m in margins.items() if s.startswith("B."))
+
+
+@pytest.mark.parametrize("order", [8, 40])
+def test_section_margins_are_tight(order):
+    """One step below its margin, every section falls short of the order
+    for at least one entry, and says so."""
+    for section in catalog._BUILDERS:
+        n = catalog.section_build_order(section, order) - 1
+        reach = n + 1 - catalog.section_margin(section)
+        short = 0
+        for name, f in catalog._build_section(section, n).items():
+            try:
+                catalog._reaching(f"{section}.{name}", f, reach)
+            except InsufficientOrder:
+                short += 1
+        assert short, section
 
 
 def test_spot_prefixes():
@@ -255,7 +285,8 @@ def rebuild_with_stored_constants(label, n):
 @pytest.mark.parametrize("order", [0, 8, 40])
 def test_fit_reproduces_stored_constants(order):
     for label in STORED_CONSTANTS:
-        f, g = rebuild_with_stored_constants(label, order + catalog._MARGIN)
-        assert catalog.build_entry(label, order) == f, label
         section, _, short = label.rpartition(".")
+        f, g = rebuild_with_stored_constants(
+            label, catalog.section_build_order(section, order))
+        assert catalog.build_entry(label, order) == f, label
         assert catalog.build_entry(f"{section}.g{short[1:]}", order) == g, label

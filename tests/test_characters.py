@@ -124,7 +124,18 @@ def test_formal_branch_needs_one_counting_solution():
     s, r = Q(-6, 5), Q(1, 5)
     assert r in flat_indicial_roots(s)
     f = frobenius_solve(build_flat(s, 26), r, 25)
-    assert f.scale(f.truncate(r + 6).den).first_non_counting() is not None
+    assert ch._non_counting_after_rescale(f) is not None
+
+
+def test_denominators_must_settle_within_six_terms():
+    # one integer rescale, fixed by the first six terms, must clear every
+    # denominator: a 7 first met at the seventh term is a verdict, though
+    # rescaling by the whole series' denominator would hide it
+    late = PuiseuxSeries.make(Q(1, 5), [1, 2, 3, 4, 5, 6, Q(1, 7), 8])
+    assert ch._non_counting_after_rescale(late) == (Q(1, 5) + 6, Q(1, 7))
+    early = PuiseuxSeries.make(Q(1, 5), [Q(1, 2), Q(1, 3), 1, 2, 3, 5, 7, Q(5, 6)])
+    assert ch._non_counting_after_rescale(early) is None
+    assert ch._non_counting_after_rescale(early.scale(-1)) == (Q(1, 5), -3)
 
 
 def test_failed_report_names_its_residual(monkeypatch):

@@ -333,11 +333,12 @@ def canonical(s: PuiseuxSeries) -> bool:
 
 
 @SET
-@given(small_rational, grids, nonzero_coeff, kernel_coeffs, small_rational, grids,
-       kernel_coeffs, exponents.filter(bool), st.integers(-3, 4), st.integers(1, 4),
+@given(small_rational, grids, nonzero_coeff, kernel_coeffs, small_rational, st.booleans(),
+       grids, kernel_coeffs, exponents.filter(bool), st.integers(-3, 4), st.integers(1, 4),
        kernel_coeff, st.integers(1, 8))
-def test_results_are_canonical(b1, g1, c0, xs, b2, g2, ys, r, k, m, c, cut):
-    f, g = series(b1, g1, [c0] + xs), series(b2, g2, ys)
+def test_results_are_canonical(b1, g1, c0, xs, b2, same_base, g2, ys, r, k, m, c, cut):
+    # equal bases take the kernel's aligned path without a Fraction offset
+    f, g = series(b1, g1, [c0] + xs), series(b1 if same_base else b2, g2, ys)
     unit = f.scale(1 / c0)
     lifted = f.shift(max(0, 1 - floor(f.truncation)))
     const = ({Fraction(0): c} if c else {}, Fraction(0), lifted.truncation)
@@ -364,3 +365,25 @@ def test_results_are_canonical(b1, g1, c0, xs, b2, g2, ys, r, k, m, c, cut):
                       for i in range(out.order + 1))
         built = PuiseuxSeries(out.base, out.grid, dense)
         assert built == out and hash(built) == hash(out)
+
+
+# -- suite 9: coefficient against the reference's terms ---------------
+
+@SET
+@given(small_rational, grids, kernel_coeffs, small_rational, grids, kernel_coeffs,
+       st.fractions(min_value=0, max_value=1, max_denominator=7).filter(bool))
+def test_coefficient_matches_reference(b1, g1, xs, b2, g2, ys, gap):
+    """On-grid, off-grid, below-base and past-truncation exponents over
+    series of mixed bases and grids."""
+    f, g = series(b1, g1, xs), series(b2, g2, ys)
+    for s in (f, g, f * g):
+        nonzero, base, trunc = terms(s)
+        on_grid = [base + Fraction(i, s.grid) for i in range(s.order + 2)]
+        probes = on_grid + [e + gap / s.grid for e in on_grid] + [base - gap, base - 1]
+        for e in probes:
+            if e >= trunc:
+                with pytest.raises(InsufficientOrder):
+                    s.coefficient(e)
+            else:
+                got = s.coefficient(e)
+                assert type(got) is Fraction and got == nonzero.get(e, 0)
