@@ -836,15 +836,11 @@ def section_build_order(section: str, order: int) -> int:
     return max(order, prefix) + section_margin(section)
 
 
+@lru_cache(maxsize=64)
 def _build_section(section: str, n: int) -> dict:
     built = _BUILDERS[section](_Forms(n))
     return {name: _unit(f) if isinstance(f, PuiseuxSeries) else f
             for name, f in built.items()}
-
-
-@lru_cache(maxsize=64)
-def _built_section(section: str, order: int) -> dict:
-    return _build_section(section, section_build_order(section, order))
 
 
 def _reaching(label: str, f: SeriesLike, order: int) -> SeriesLike:
@@ -859,8 +855,8 @@ def _reaching(label: str, f: SeriesLike, order: int) -> SeriesLike:
 def build_entry(label: str, order: int) -> SeriesLike:
     """Evaluate the entry's recipe, exact to >= order steps past its lead."""
     e = entry(label)
-    short = label[len(e.section) + 1:]
-    return _reaching(label, _built_section(e.section, order)[short], order)
+    built = _build_section(e.section, section_build_order(e.section, order))
+    return _reaching(label, built[label[len(e.section) + 1:]], order)
 
 
 def aux_third_order(which: str, order: int) -> MLDEOperator:
