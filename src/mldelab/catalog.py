@@ -164,7 +164,7 @@ class _Forms:
         return PuiseuxSeries.one(self.n)
 
     def log_solution(self, s: QLike, alpha: Fraction) -> LogSeries:
-        return frobenius_solve_log(build_flat(s, self.n + 2), alpha, self.n)
+        return frobenius_solve_log(build_flat(s, self.n), alpha, self.n)
 
     def fit(self, s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries):
         return _fit(s, x, y)
@@ -886,12 +886,11 @@ def default_verification_order(label: str) -> int:
 
 
 def verify_entry(label: str, order: Optional[int] = None) -> dict:
-    """Prefix check then annihilation check; returns a report dict whose
-    status is 'verified', or 'failed' with the first bad exponent, the
-    residual there and a detail line."""
+    """Prefix check, then annihilation through q^(exponent + order) by the
+    operator built the section's margin past the order.  The report's status
+    is 'verified', or 'failed' with the first bad exponent, residual and detail."""
     e = entry(label)
-    if order is None:
-        order = default_verification_order(label)
+    order = default_verification_order(label) if order is None else order
     report = {"label": label, "s": str(e.s), "order": order}
     if e.note:
         report["note"] = e.note
@@ -904,7 +903,8 @@ def verify_entry(label: str, order: Optional[int] = None) -> dict:
             got = probe.coefficient(bad[0])
             return _failed(report, bad, PrefixMismatch(label, bad[0], got, got - bad[1]))
         report["prefix"] = f"{len(e.printed_prefix)} printed coefficients match"
-    bad = designated_operator(label, order + 6).apply(f).first_nonzero()
+    op = designated_operator(label, order + section_margin(e.section))
+    bad = op.apply(f).first_nonzero(e.exponent + order + Q(1, 2))
     if bad is not None:
         return _failed(report, bad, NotAnnihilated(label, *bad))
     report["status"] = "verified"
@@ -953,7 +953,7 @@ def fundamental_system(s: QLike, order: int) -> list[tuple[Fraction, SeriesLike]
         raise NotInCandidateList(f"no catalogued system for s = {s}")
     out = [(ENTRIES[lb].exponent, build_entry(lb, order)) for lb in names]
     if s in _EXTRA_LOG:
-        log = frobenius_solve_log(build_flat(s, order + 2), _EXTRA_LOG[s], order)
+        log = frobenius_solve_log(build_flat(s, order), _EXTRA_LOG[s], order)
         out.append((_EXTRA_LOG[s], log))
     return sorted(out, key=lambda t: t[0])
 
@@ -986,7 +986,7 @@ def remark_solution(s: QLike, order: int = 99) -> PuiseuxSeries:
     """Frobenius solution at the first indicial root with a0 = 5."""
     s = rat(s)
     alpha = flat_indicial_roots(s)[0]
-    return frobenius_solve(build_flat(s, order + 1), alpha, order, a0=5)
+    return frobenius_solve(build_flat(s, order), alpha, order, a0=5)
 
 
 def remark_holds(s: QLike, order: int = 99) -> bool:

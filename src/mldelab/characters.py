@@ -155,9 +155,9 @@ def lattice(gram: Sequence[Sequence[int]],
     return IntegralLattice(rank=n, gram=g, coset_offset=off)
 
 
-@lru_cache(maxsize=None)
-def _theta_cached(lat: IntegralLattice, order: int) -> PuiseuxSeries:
-    L, d = lat.ldl()
+def lattice_theta(lat: IntegralLattice, order: int) -> PuiseuxSeries:
+    """Sum of q^(<v,v>/2) over v in (Z^n + offset), complete through q^order."""
+    L, d = lat.ldl()     # raises NotPositiveDefinite
     n = lat.rank
     c = list(lat.coset_offset)
     # Everything below is integer arithmetic: coordinates are scaled by
@@ -214,16 +214,14 @@ def _theta_cached(lat: IntegralLattice, order: int) -> PuiseuxSeries:
     return PuiseuxSeries.from_ints(base, grid, nums)
 
 
-def lattice_theta(lat: IntegralLattice, order: int) -> PuiseuxSeries:
-    """Sum of q^(<v,v>/2) over v in (Z^n + offset), complete through q^order."""
-    lat.ldl()            # positive-definiteness check up front
-    return _theta_cached(lat, order)
-
-
 def lattice_voa_character(lat: IntegralLattice, order: int) -> PuiseuxSeries:
-    """theta / eta^rank, the character of the corresponding lattice module."""
+    """theta / eta^rank, the character of the corresponding lattice module,
+    exact below q^(lead + order).  Both factors reach that far: eta built to
+    order is exact order + 1 steps past its base, and theta, enumerated
+    through q^(order + 1), is exact order steps past a lowest weight below 1
+    (a higher one raises InsufficientOrder)."""
     theta = lattice_theta(lat, order + 1)
-    return (theta * F.eta(order + lat.rank).pow(-lat.rank)).truncate(
+    return (theta * F.eta(order).pow(-lat.rank)).truncate(
         theta.leading()[0] - Q(lat.rank, 24) + order)
 
 
@@ -240,59 +238,26 @@ def assemble_L_character(chi_M: PuiseuxSeries, chi_MP: PuiseuxSeries,
 
 # -- root-lattice fixtures --------------------------------------------
 
-def _cartan_A(n: int) -> list[list[int]]:
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-        if i + 1 < n:
-            g[i][i + 1] = g[i + 1][i] = -1
-    return g
-
-
-def _cartan_D(n: int) -> list[list[int]]:
-    # chain 1..n-1 with node n attached to node n-2
-    g = _cartan_A(n)
-    g[n - 1][n - 2] = g[n - 2][n - 1] = 0
-    g[n - 1][n - 3] = g[n - 3][n - 1] = -1
-    return g
-
-
-def _cartan_E7() -> list[list[int]]:
-    # Bourbaki: chain 1-3-4-5-6-7 with node 2 attached to node 4
-    edges = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)]
-    g = [[0] * 7 for _ in range(7)]
-    for i in range(7):
-        g[i][i] = 2
+def _cartan(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The Cartan matrix of the simply-laced diagram on nodes 1..n."""
+    g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for a, b in edges:
         g[a - 1][b - 1] = g[b - 1][a - 1] = -1
     return g
 
 
-def _solve(gram: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
-    """Exact solve of gram * x = rhs."""
-    n = len(gram)
-    a = [[Q(v) for v in row] + [Q(rhs[i])] for i, row in enumerate(gram)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def fundamental_coweight(gram: Sequence[Sequence[int]], node: int) -> list[Fraction]:
-    """Coordinates (in the lattice basis) of the dual basis vector at node."""
-    rhs = [0] * len(gram)
-    rhs[node - 1] = 1
-    return _solve(gram, rhs)
-
-
-def _scaled(vec: Sequence[Fraction], k: int) -> list[Fraction]:
-    return [k * v for v in vec]
+    """Coordinates (in the lattice basis) of the dual basis vector at node:
+    the solution of gram * x = e_node, by substitution through G = L D L^T."""
+    L, d = lattice(gram).ldl()
+    n = len(gram)
+    y = [Q(0)] * n
+    for i in range(n):                       # L y = e_node
+        y[i] = Q(i == node - 1) - sum(L[i][k] * y[k] for k in range(i))
+    x = [Q(0)] * n
+    for i in reversed(range(n)):             # L^T x = D^-1 y
+        x[i] = y[i] / d[i] - sum(L[k][i] * x[k] for k in range(i + 1, n))
+    return x
 
 
 # -- the Deligne exceptional series -----------------------------------
@@ -376,13 +341,14 @@ def _case_data(name: str):
         basis = [(0, Q(-1, 20), 3), (1, Q(3, 4), 4),
                  (2, Q(-1, 20), 5), (0, Q(3, 4), 3)]
     elif name == "E6":
-        gram = _cartan_A(5)
+        gram = _cartan(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
         w1 = fundamental_coweight(gram, 1)
-        cosets = [_scaled(w1, k) for k in range(6)]
+        cosets = [[k * x for x in w1] for k in range(6)]
         basis = [(0, Q(-1, 20), 3), (4, Q(3, 4), 1),
                  (2, Q(-1, 20), 5), (0, Q(3, 4), 3)]
     elif name == "E7":
-        gram = _cartan_D(6)
+        # D6: chain 1..5 with node 6 attached to node 4
+        gram = _cartan(6, [(1, 2), (2, 3), (3, 4), (4, 5), (4, 6)])
         cosets = [[Q(0)] * 6,
                   fundamental_coweight(gram, 1),
                   fundamental_coweight(gram, 5),
@@ -390,7 +356,8 @@ def _case_data(name: str):
         basis = [(0, Q(-1, 20), 3), (2, Q(3, 4), 1),
                  (2, Q(-1, 20), 1), (0, Q(3, 4), 3)]
     elif name == "E8":
-        gram = _cartan_E7()
+        # E7 (Bourbaki): chain 1-3-4-5-6-7 with node 2 attached to node 4
+        gram = _cartan(7, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)])
         cosets = [[Q(0)] * 7, fundamental_coweight(gram, 7)]
         basis = [(0, Q(-1, 20), 1), (0, Q(3, 4), 1)]
     else:
@@ -415,12 +382,12 @@ def ramond_character_basis(name: str, order: int = 25
         return [(h - MINIMAL_C / 24, minimal_character(h, order + 1).series)
                 for h in MINIMAL_WEIGHTS]
     gram, cosets, basis = _case_data(name)
-    rank = len(gram)
-    pad = order + 3
-    chis = [lattice_voa_character(lattice(gram, c), pad) for c in cosets]
+    # each product is exact below its lead + (order + 1), so the sum is
+    # exact below e + order + 1, past the e + order + 1/2 it is cut at
+    chis = [lattice_voa_character(lattice(gram, c), order + 1) for c in cosets]
     out = []
     for mi, h, pi in basis:
-        chi = assemble_L_character(chis[mi], chis[pi], h, pad)
+        chi = assemble_L_character(chis[mi], chis[pi], h, order + 1)
         e, _ = chi.leading()
         out.append((e, chi.truncate(e + order + Q(1, 2))))
     return out
@@ -430,20 +397,24 @@ def ramond_character_basis(name: str, order: int = 25
 _SETTLED_TERMS = 6
 
 
-def _non_counting_after_rescale(f: PuiseuxSeries) -> Optional[tuple[Fraction, Fraction]]:
-    """The first term of f, rescaled by the lcm of the denominators of its
-    first six terms, that is not a non-negative integer, or None.  A
-    character-type solution is non-negative with denominators that settle
-    that early, so one integer rescale (the unknown leading multiplicity)
-    clears them all; a denominator first met later is a verdict against f."""
+def _non_counting_after_rescale(f: PuiseuxSeries, below: Optional[Fraction] = None
+                                ) -> Optional[tuple[Fraction, Fraction]]:
+    """The first term of f below q^below (the truncation if omitted),
+    rescaled by the lcm of the denominators of its first six terms, that is
+    not a non-negative integer, or None.  A character-type solution is
+    non-negative with denominators that settle that early, so one integer
+    rescale (the unknown leading multiplicity) clears them all; a
+    denominator first met later is a verdict against f."""
     settled = f.truncate(min(f.base + _SETTLED_TERMS, f.truncation)).den
-    return f.scale(settled).first_non_counting()
+    return f.scale(settled).first_non_counting(below)
 
 
 def verify_case(name: str, order: int = 25) -> dict:
-    """Cross-check one case against the fourth-order family.  A failed
-    report carries a detail line and, when a series check failed, the first
-    bad exponent and the residual there."""
+    """Cross-check one case against the fourth-order family.  Every series
+    check reads a solution or character with leading exponent e through
+    q^(e + order), below q^(e + order + 1/2), and its operands are built to
+    exactly that window.  A failed report carries a detail line and, when a
+    series check failed, the first bad exponent and the residual there."""
     d = datum(name)
     report = {"name": name, "s": str(d.s), "order": order}
     roots = flat_indicial_roots(d.s)
@@ -454,10 +425,11 @@ def verify_case(name: str, order: int = 25) -> dict:
         # remaining solutions belong to a second-order factor instead)
         distinct = tuple(sorted(set(roots)))
         ok = distinct == d.ramond_exponents
-        op = build_flat(d.s, order + 1)
+        op = build_flat(d.s, order)
         failing = []
         for r in distinct:
-            bad = _non_counting_after_rescale(frobenius_solve(op, r, order))
+            bad = _non_counting_after_rescale(frobenius_solve(op, r, order),
+                                              r + order + Q(1, 2))
             if bad is not None:
                 failing.append((r, bad))
         cft = len(failing) < len(distinct) if d.verification == "formal" else not failing
@@ -482,21 +454,22 @@ def verify_case(name: str, order: int = 25) -> dict:
             weights.append(th.leading()[0])
         if weights != _COSET_WEIGHTS[name]:
             return _failed(report, f"coset weights {weights} != printed")
-    op = build_flat(d.s, order + 2)
+    op = build_flat(d.s, order)
     ops = [("flat", op)]
     if name == "E8":
-        ops.append(("sharp", build_sharp(mu(Q(19, 5)), order + 2)))
+        ops.append(("sharp", build_sharp(mu(Q(19, 5)), order)))
     for e, chi in chars:
+        window = e + order + Q(1, 2)
         lead = chi.coefficient(e)
         for tag, o in ops:
-            bad = o.apply(chi).first_nonzero(e + order - 2)
+            bad = o.apply(chi).first_nonzero(window)
             if bad is not None:
                 return _failed(report, f"character at {e} not annihilated ({tag})", bad)
-        f = frobenius_solve(op, e, max(order - 1, 0))
-        bad = (chi.scale(1 / lead) - f).first_nonzero(e + order - 1)
+        f = frobenius_solve(op, e, order)
+        bad = (chi.scale(1 / lead) - f).first_nonzero(window)
         if bad is not None:
             return _failed(report, f"character at {e} differs from series solution", bad)
-        bad = chi.first_non_counting(e + order - 1)
+        bad = chi.first_non_counting(window)
         if bad is not None:
             return _failed(report, f"character at {e} has non-counting coefficients", bad)
     report["status"] = "verified"

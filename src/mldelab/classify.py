@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import catalog
 from .mlde import Resonance, build_flat, flat_indicial_roots, frobenius_solve
-from .series import Q, QLike, rat
+from .series import Q
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def filter_candidates(case: CaseSpec, depth: Optional[int] = None) -> CandidateR
     resonant: list[Fraction] = []
     for s, a1 in candidates:
         alpha = flat_indicial_roots(s)[case.case_id - 1]
-        op = build_flat(s, depth + 1)
+        op = build_flat(s, depth)
         try:
             f = frobenius_solve(op, alpha, depth)
         except Resonance:
@@ -141,40 +141,3 @@ def strictly_modular_candidates() -> tuple[Fraction, ...]:
     """The classification minus the six quasimodular values (17 numbers)."""
     return tuple(s for s in classify_all() if s not in QUASIMODULAR_VALUES)
 
-
-# -- printed polynomial oracles (regression fixtures) -----------------
-
-def n1_polynomial_fixture(case_id: int, s: QLike, a1: QLike) -> Fraction:
-    """The factored n = 1 polynomial of the given case, evaluated at (s, a1)."""
-    s, a1 = rat(s), rat(a1)
-    if case_id == 1:
-        return (5 * s - 54) * (25 * s * s + 5 * s * a1 + 120 * s - 42 * a1 + 108)
-    if case_id == 2:
-        return (s - 18) * (75 * s * s + 15 * s * a1 + 100 * s - 306 * a1 + 348)
-    if case_id == 3:
-        return (s + 6) * (25 * s * s - 5 * s * a1 + 130 * s - 78 * a1 + 144)
-    if case_id == 4:
-        return (5 * s + 66) * (25 * s * s - 5 * s * a1 + 45 * s - 18 * a1 + 18)
-    raise KeyError(f"unknown case {case_id}")
-
-
-def n2_polynomial_fixture(case_id: int, s: QLike, a1: QLike, a2: QLike) -> Fraction:
-    """The expanded n = 2 polynomial of the given case, evaluated at (s, a1, a2)."""
-    s, a1, a2 = rat(s), rat(a1), rat(a2)
-    if case_id == 1:
-        return (-386208 - 720360 * s - 355500 * s**2 - 15750 * s**3 + 3125 * s**4
-                - 72792 * a1 - 22140 * s * a1 - 26250 * s**2 * a1 + 1375 * s**3 * a1
-                + 139536 * a2 - 12960 * s * a2 + 300 * s**2 * a2)
-    if case_id == 2:
-        return (625 * s**4 - 1350 * s**3 + 475 * a1 * s**3 - 155340 * s**2
-                - 13650 * a1 * s**2 + 140 * a2 * s**2 - 385128 * s - 1836 * a1 * s
-                - 8736 * a2 * s - 474336 + 161352 * a1 + 136080 * a2)
-    if case_id == 3:
-        return (-245592 - 295812 * s - 124830 * s**2 - 9975 * s**3 + 625 * s**4
-                + 15120 * a1 + 9216 * s * a1 - 6180 * s**2 * a1 - 400 * s**3 * a1
-                + 54648 * a2 + 5016 * s * a2 + 110 * s**2 * a2)
-    if case_id == 4:
-        return (-661608 - 1138860 * s - 551250 * s**2 - 47625 * s**3 + 3125 * s**4
-                - 41472 * a1 + 11160 * s * a1 - 24000 * s**2 * a1 - 1750 * s**3 * a1
-                + 176904 * a2 + 18360 * s * a2 + 450 * s**2 * a2)
-    raise KeyError(f"unknown case {case_id}")

@@ -134,7 +134,7 @@ def cmd_indicial(args) -> int:
 def cmd_solve(args) -> int:
     if args.alpha is None:
         raise UsageError("solve requires --alpha")
-    extra = 2
+    extra = 0
     if args.log:
         # the log part is solved at the upper root, upper - alpha steps further
         extra = max([extra] + [int(r - args.alpha) for r in flat_indicial_roots(args.s)

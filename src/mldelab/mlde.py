@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import ceil, lcm
 from typing import Optional, Sequence
 
 from . import forms as F
@@ -164,12 +164,18 @@ def build_custom(coefficients: Sequence[PuiseuxSeries], provenance: str = "custo
     return MLDEOperator(cs, provenance=provenance, parameter=parameter)
 
 
+def _reach(f: SeriesLike) -> int:
+    """The order an Eisenstein factor of f is built to: a form built to n is
+    exact n + 1 steps past its base q^0, so its product with f is exact as
+    far as f is once n + 1 >= f.truncation - f.base."""
+    return ceil(f.truncation - f.base) - 1
+
+
 def serre_derivation(f: SeriesLike, k: QLike, iterations: int = 1) -> SeriesLike:
     """theta_k(f) = D(f) - (k/12)*E2*f; iterates step the weight by 2."""
     k = rat(k)
     for _ in range(iterations):
-        e2 = F.eisenstein_e2(max(1, int(f.truncation - f.base) + 2))
-        f = f.euler_derivative() - (e2 * f).scale(k / 12)
+        f = f.euler_derivative() - (F.eisenstein_e2(_reach(f)) * f).scale(k / 12)
         k += 2
     return f
 
@@ -184,7 +190,7 @@ def flat_weighted_apply(s: QLike, k: QLike, f: SeriesLike) -> SeriesLike:
     equals build_flat(s).apply(f) identically."""
     s, k = rat(s), rat(k)
     a1, a2, a3 = alphas(s)
-    order = int(f.truncation - f.base) + 2
+    order = _reach(f)
     t1 = serre_derivation(f, k)
     t2 = serre_derivation(t1, k + 2)
     t4 = serre_derivation(t2, k + 4, 2)
@@ -263,7 +269,6 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fr
 class IndicialReport:
     roots: tuple[Fraction, ...]
     polynomial: tuple[Fraction, ...]
-    pair_differences: tuple[Fraction, ...]
     degenerate: tuple[tuple[Fraction, Fraction], ...]
     resonant: tuple[tuple[Fraction, Fraction], ...]
 
@@ -285,18 +290,16 @@ def indicial(op: MLDEOperator) -> IndicialReport:
         roots, rem = _rational_roots(poly)
         if len(rem) > 1:
             raise NonRationalRoot(poly)
-    diffs = []
     degenerate = []
     resonant = []
     for i, a in enumerate(roots):
         for j, b in enumerate(roots):
             if i < j:
-                diffs.append(a - b)
                 if a == b:
                     degenerate.append((a, b))
                 elif (a - b).denominator == 1:
                     resonant.append((max(a, b), min(a, b)))
-    return IndicialReport(tuple(roots), tuple(poly), tuple(diffs),
+    return IndicialReport(tuple(roots), tuple(poly),
                           tuple(degenerate), tuple(resonant))
 
 
@@ -502,6 +505,6 @@ def factored_apply(s: QLike, f: SeriesLike) -> SeriesLike:
     if s not in SHARP_FACTORIZATIONS:
         raise KeyError(f"no factored form catalogued at s = {s}")
     inner, c = SHARP_FACTORIZATIONS[s]
-    order = int(f.truncation - f.base) + 2
+    order = _reach(f)
     g = build_sharp(inner, order).apply(f)
     return serre_derivation(g, 4, 2) - (F.eisenstein_e4(order) * g).scale(c)

@@ -16,8 +16,11 @@ A relation is checked as printed: :func:`evaluate` reads both sides of its
                 | '(' sum ')' | '{' sum '}') "'"*
 
 NAME is one of the ten forms of ``forms.FORM_TABLE`` or E2, E4, E6, each
-built to the verification order + 5.  ``NAME(q^m)`` substitutes q -> q^m,
-and a postfix ``'`` or ``D[...]`` applies the Euler derivative D = q d/dq.
+built to the verification order: a form is exact order + 1 steps past a
+base of q^0 or above, and no operation of the grammar shortens that, so
+each side is exact below q^(order + 1), past the window its verdict reads.
+``NAME(q^m)`` substitutes q -> q^m, and a postfix ``'`` or ``D[...]``
+applies the Euler derivative D = q d/dq.
 Anything else raises a ValueError that names the offending token.
 
 A few printed sources of these identities contain transcription errors.
@@ -106,7 +109,7 @@ class _Reader:
             value = self.derivative(self.sum())
             self.take("]")
         elif tok in _FORMS:
-            value = _FORMS[tok](self.order + 5)
+            value = _FORMS[tok](self.order)
             if self.peek() == "(":
                 for want in ("(", "q", "^"):
                     self.take(want)
@@ -127,7 +130,7 @@ class _Reader:
 
 
 def evaluate(expression: str, order: int) -> int | PuiseuxSeries:
-    """The value of one side of a relation, its forms built to order + 5."""
+    """The value of one side of a relation, its forms built to order."""
     reader = _Reader(expression, order)
     value = reader.sum()
     if reader.peek() is not None:

@@ -58,6 +58,18 @@ def test_section_margins_are_tight(order):
         assert short, section
 
 
+def test_annihilation_reads_through_the_order(monkeypatch):
+    # C.a.f0 leads five steps above its recipe's base, so its residual is
+    # exact through q^(exponent + 10) once the operator is built to 15; one
+    # step short, the verdict raises rather than reading a narrower window
+    real = catalog.designated_operator
+    monkeypatch.setattr(catalog, "designated_operator", lambda label, order: real(label, 15))
+    assert catalog.verify_entry("C.a.f0", 10)["status"] == "verified"
+    monkeypatch.setattr(catalog, "designated_operator", lambda label, order: real(label, 14))
+    with pytest.raises(InsufficientOrder):
+        catalog.verify_entry("C.a.f0", 10)
+
+
 def test_spot_prefixes():
     # closed forms reproduce printed expansions at small order
     f = catalog.build_entry("B.f.f0", 6)

@@ -151,6 +151,18 @@ def test_failed_report_names_its_residual(monkeypatch):
     assert rep["residual"] == rat_str(residual) != "0"
 
 
+def test_verify_reads_through_the_order(monkeypatch):
+    # a term at q^(e + order) lies inside the window of a report at that
+    # order, so a character that carries one fails the check
+    order = 10
+    (e, chi), *rest = ch.ramond_character_basis("A2", order)
+    bumped = chi + PuiseuxSeries.q_power(e + order, 0)
+    monkeypatch.setattr(ch, "ramond_character_basis", lambda name, order: [(e, bumped)] + rest)
+    rep = ch.verify_case("A2", order)
+    assert rep["status"] == "failed"
+    assert rep["first_bad_exponent"] == rat_str(e + order)
+
+
 def test_a2_small_prefixes():
     basis = ch.ramond_character_basis("A2", 6)
     by_exp = {e: chi for e, chi in basis}

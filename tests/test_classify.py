@@ -5,9 +5,9 @@ import pytest
 from mldelab import catalog
 from mldelab.classify import (CASES, QUASIMODULAR_VALUES, classify_all,
                               enumerate_case, filter_candidates,
-                              n1_polynomial_fixture, n2_polynomial_fixture,
                               strictly_modular_candidates)
 from mldelab.mlde import build_flat, flat_indicial_roots, frobenius_solve
+from mldelab.series import rat
 
 
 def _fr(*nums):
@@ -70,6 +70,44 @@ def test_strictly_modular_17():
 def test_excluded_linear_roots():
     assert [CASES[c].excluded_linear_root for c in (1, 2, 3, 4)] == \
         [Fr(54, 5), Fr(18), Fr(-6), Fr(-66, 5)]
+
+
+# -- the printed n = 1 and n = 2 polynomials ----------------------------
+
+def n1_polynomial_fixture(case_id, s, a1):
+    """The factored n = 1 polynomial of the given case, evaluated at (s, a1)."""
+    s, a1 = rat(s), rat(a1)
+    if case_id == 1:
+        return (5 * s - 54) * (25 * s * s + 5 * s * a1 + 120 * s - 42 * a1 + 108)
+    if case_id == 2:
+        return (s - 18) * (75 * s * s + 15 * s * a1 + 100 * s - 306 * a1 + 348)
+    if case_id == 3:
+        return (s + 6) * (25 * s * s - 5 * s * a1 + 130 * s - 78 * a1 + 144)
+    if case_id == 4:
+        return (5 * s + 66) * (25 * s * s - 5 * s * a1 + 45 * s - 18 * a1 + 18)
+    raise KeyError(f"unknown case {case_id}")
+
+
+def n2_polynomial_fixture(case_id, s, a1, a2):
+    """The expanded n = 2 polynomial of the given case, evaluated at (s, a1, a2)."""
+    s, a1, a2 = rat(s), rat(a1), rat(a2)
+    if case_id == 1:
+        return (-386208 - 720360 * s - 355500 * s**2 - 15750 * s**3 + 3125 * s**4
+                - 72792 * a1 - 22140 * s * a1 - 26250 * s**2 * a1 + 1375 * s**3 * a1
+                + 139536 * a2 - 12960 * s * a2 + 300 * s**2 * a2)
+    if case_id == 2:
+        return (625 * s**4 - 1350 * s**3 + 475 * a1 * s**3 - 155340 * s**2
+                - 13650 * a1 * s**2 + 140 * a2 * s**2 - 385128 * s - 1836 * a1 * s
+                - 8736 * a2 * s - 474336 + 161352 * a1 + 136080 * a2)
+    if case_id == 3:
+        return (-245592 - 295812 * s - 124830 * s**2 - 9975 * s**3 + 625 * s**4
+                + 15120 * a1 + 9216 * s * a1 - 6180 * s**2 * a1 - 400 * s**3 * a1
+                + 54648 * a2 + 5016 * s * a2 + 110 * s**2 * a2)
+    if case_id == 4:
+        return (-661608 - 1138860 * s - 551250 * s**2 - 47625 * s**3 + 3125 * s**4
+                - 41472 * a1 + 11160 * s * a1 - 24000 * s**2 * a1 - 1750 * s**3 * a1
+                + 176904 * a2 + 18360 * s * a2 + 450 * s**2 * a2)
+    raise KeyError(f"unknown case {case_id}")
 
 
 def test_n1_polynomial_vanishes_on_candidates():
