@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from importlib import resources
-from math import floor, gcd
+from math import ceil, floor, gcd
 from typing import Callable, Optional, Sequence
 
 from . import forms as F
@@ -809,22 +809,29 @@ def entry(label: str) -> CatalogEntry:
 # -- building ----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def section_margin(section: str) -> int:
-    """The steps a section's recipe loses to truncation.
+def _lead_gaps(section: str) -> dict[str, Fraction]:
+    """label -> exponent - base for each entry of a section: how far the
+    entry leads above the base its recipe gives it.
 
     Every form is exact n + 1 steps past its base, and no operation a
     recipe applies shortens that reach past the result's base, so each
     entry comes out exact to base + n + 1.  What a recipe loses is
     cancellation: where its terms cancel, as ``_qm``'s a*x + b*y does from
     min(x.base, y.base) up to the entry's exponent, the entry leads at
-    exponent > base.  An entry built at n is therefore exact past its
-    exponent + order when n >= order + floor(exponent - base).  The bases
-    do not depend on n, so the recipe is run once on leads (``_Leads``),
-    which track the base alone and build no coefficient; the margin is the
-    largest such floor over the section."""
+    exponent > base.  The bases do not depend on n, so the recipe is run
+    once on leads (``_Leads``), which track the base alone and build no
+    coefficient."""
     leads = _BUILDERS[section](_Leads())
-    return max(floor(ENTRIES[f"{section}.{name}"].exponent - lead.base)
-               for name, lead in leads.items())
+    return {f"{section}.{name}": ENTRIES[f"{section}.{name}"].exponent - lead.base
+            for name, lead in leads.items()}
+
+
+def section_margin(section: str) -> int:
+    """The steps a section's recipe loses to truncation: an entry built at
+    n is exact past its exponent + order when n >= order + floor(gap) for
+    its gap in ``_lead_gaps``, and the margin is the largest such floor
+    over the section."""
+    return max(floor(gap) for gap in _lead_gaps(section).values())
 
 
 def section_build_order(section: str, order: int) -> int:
@@ -859,23 +866,21 @@ def build_entry(label: str, order: int) -> SeriesLike:
     return _reaching(label, built[label[len(e.section) + 1:]], order)
 
 
-def aux_third_order(which: str, order: int) -> MLDEOperator:
-    """The two third-order companions: weight-0 operators whose E6 term is
-    (19/5400)E6 ('-6/5') or (9/200)E6 ('6')."""
-    c = {"-6/5": Q(19, 5400), "6": Q(9, 200)}[which]
+def aux_third_order(order: int) -> MLDEOperator:
+    """B.c's third-order companion, the weight-0 operator
+    D^3 - (1/2)E2*D^2 + ((1/2)D(E2) - (9/100)E4)*D + (19/5400)E6."""
     e2 = F.eisenstein_e2(order)
     return build_custom(
-        (F.eisenstein_e6(order).scale(c),
+        (F.eisenstein_e6(order).scale(Q(19, 5400)),
          e2.euler_derivative().scale(Q(1, 2)) - F.eisenstein_e4(order).scale(Q(9, 100)),
          e2.scale(Q(-1, 2)),
-         PuiseuxSeries.one(order)),
-        provenance="aux3", parameter=(rat(which),))
+         PuiseuxSeries.one(order)))
 
 
 def designated_operator(label: str, order: int) -> MLDEOperator:
     e = entry(label)
     if e.operator == "aux3":
-        return aux_third_order("-6/5" if e.section == "B.c" else "6", order)
+        return aux_third_order(order)
     return build_flat(e.s, order)
 
 
@@ -962,14 +967,34 @@ def exponent_sum(s: QLike) -> Fraction:
     return sum(flat_indicial_roots(s), Q(0))
 
 
+def _wronskian_pads(s: Fraction) -> tuple[int, int]:
+    """(system pad, eta pad): the steps past `order` at which
+    ``wronskian_over_eta24`` builds the system and eta.
+
+    An entry built at n is exact n + 1 steps past its recipe's base, which
+    lies its gap (``_lead_gaps``) below its exponent, and a Serre derivation
+    keeps both.  So every product in the determinant is exact n + 1 steps
+    past the sum of the bases, which is the exponent sum 1 less the gap
+    sum G, and W/eta^24 is exact below q^(n + 1 - G) once eta^-24, based
+    at q^-1, is exact as far.  Through q^order that needs n >= order + ceil(G): eta
+    built to order + ceil(G), and the system to order + ceil(G) - m, since
+    its section margin m already builds the entries m steps further."""
+    labels = _system_labels(s)
+    gaps = ceil(sum(_lead_gaps(ENTRIES[lb].section)[lb] for lb in labels))
+    margin = min(section_margin(ENTRIES[lb].section) for lb in labels)
+    return max(0, gaps - margin), gaps
+
+
 def wronskian_over_eta24(s: QLike, order: int = 25):
-    """(constant, residual-free bool) for W(system)/eta^24."""
+    """(constant, residual-free bool) for W(system)/eta^24, read through
+    q^order."""
     s = rat(s)
     if not has_plain_system(s):
         raise NotInCandidateList(f"s = {s} has no plain catalogued system")
-    system = [f for _, f in fundamental_system(s, order + 8)]
+    system_pad, eta_pad = _wronskian_pads(s)
+    system = [f for _, f in fundamental_system(s, order + system_pad)]
     w = modular_wronskian(system)
-    ratio = w * F.eta(order + 8).pow(-24)
+    ratio = w * F.eta(order + eta_pad).pow(-24)
     lead_e, lead_c = ratio.leading()
     if lead_e != 0:
         return lead_c, False
@@ -983,10 +1008,11 @@ REMARK_PARAMETERS: tuple[Fraction, ...] = (
 
 
 def remark_solution(s: QLike, order: int = 99) -> PuiseuxSeries:
-    """Frobenius solution at the first indicial root with a0 = 5."""
+    """Frobenius solution at the first indicial root, scaled to leading
+    coefficient 5."""
     s = rat(s)
     alpha = flat_indicial_roots(s)[0]
-    return frobenius_solve(build_flat(s, order), alpha, order, a0=5)
+    return frobenius_solve(build_flat(s, order), alpha, order).scale(5)
 
 
 def remark_holds(s: QLike, order: int = 99) -> bool:

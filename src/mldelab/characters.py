@@ -71,12 +71,6 @@ FUSION_WITH_3_4 = {
 }
 
 
-@dataclass(frozen=True)
-class MinimalCharacter:
-    h: Fraction
-    series: PuiseuxSeries
-
-
 @lru_cache(maxsize=None)
 def _inverse_euler_product(order: int) -> PuiseuxSeries:
     """1 / prod_{n>=1} (1 - q^n) to the given order."""
@@ -84,7 +78,7 @@ def _inverse_euler_product(order: int) -> PuiseuxSeries:
 
 
 @lru_cache(maxsize=None)
-def minimal_character(h: QLike, order: int = 50) -> MinimalCharacter:
+def minimal_character(h: QLike, order: int = 50) -> PuiseuxSeries:
     """Irreducible (3,5)-minimal-model character with leading q^(h+1/40)."""
     h = rat(h)
     if h not in _KAC_LABELS:
@@ -113,7 +107,7 @@ def minimal_character(h: QLike, order: int = 50) -> MinimalCharacter:
         n += 1
     numerator = PuiseuxSeries.from_ints(0, 1, nums)
     series = (numerator * _inverse_euler_product(order)).shift(h - MINIMAL_C / 24)
-    return MinimalCharacter(h=h, series=series.truncate(h - MINIMAL_C / 24 + order))
+    return series.truncate(h - MINIMAL_C / 24 + order)
 
 
 # -- lattice theta series ---------------------------------------------
@@ -156,7 +150,13 @@ def lattice(gram: Sequence[Sequence[int]],
 
 
 def lattice_theta(lat: IntegralLattice, order: int) -> PuiseuxSeries:
-    """Sum of q^(<v,v>/2) over v in (Z^n + offset), complete through q^order."""
+    """Sum of q^(<v,v>/2) over v in (Z^n + offset), complete through q^order.
+
+    With v = x + c, <v,v>/2 - <c,c>/2 = sum_i G_ii x_i^2 / 2
+    + sum_{i<j} G_ij x_i x_j + <x, G c>, so every exponent lies on the grid
+    of step 1/g past the lowest, g = lcm(2 if some G_ii is odd else 1, the
+    denominators of G c); the series is exact to the first grid point
+    past q^order."""
     L, d = lat.ldl()     # raises NotPositiveDefinite
     n = lat.rank
     c = list(lat.coset_offset)
@@ -207,7 +207,9 @@ def lattice_theta(lat: IntegralLattice, order: int) -> PuiseuxSeries:
     if not counts:
         raise ArithmeticError("empty coset enumeration")
     base = min(counts)
-    grid = lcm(*((e - base).denominator for e in counts))
+    odd = any(lat.gram[i][i] % 2 for i in range(n))
+    grid = lcm(2 if odd else 1,
+               *(sum(g * cj for g, cj in zip(row, c)).denominator for row in lat.gram))
     nums = [0] * (int((order - base) * grid) + 1)
     for e, k in counts.items():
         nums[int((e - base) * grid)] = k
@@ -231,8 +233,8 @@ def assemble_L_character(chi_M: PuiseuxSeries, chi_MP: PuiseuxSeries,
     h = rat(h)
     if h not in FUSION_WITH_3_4:
         raise UnknownWeight(f"h = {h} is not a weight of the model")
-    a = chi_M * minimal_character(h, order).series
-    b = chi_MP * minimal_character(FUSION_WITH_3_4[h], order).series
+    a = chi_M * minimal_character(h, order)
+    b = chi_MP * minimal_character(FUSION_WITH_3_4[h], order)
     return a + b
 
 
@@ -379,7 +381,7 @@ def ramond_character_basis(name: str, order: int = 25
                            ) -> list[tuple[Fraction, PuiseuxSeries]]:
     """(leading exponent, character) for the Ramond basis of the case."""
     if name == "A1":
-        return [(h - MINIMAL_C / 24, minimal_character(h, order + 1).series)
+        return [(h - MINIMAL_C / 24, minimal_character(h, order + 1))
                 for h in MINIMAL_WEIGHTS]
     gram, cosets, basis = _case_data(name)
     # each product is exact below its lead + (order + 1), so the sum is
@@ -482,7 +484,3 @@ def _failed(report: dict, detail: str,
     if bad is not None:
         report.update(first_bad_exponent=rat_str(bad[0]), residual=rat_str(bad[1]))
     return report
-
-
-def verify_all(order: int = 25) -> list[dict]:
-    return [verify_case(d.name, order) for d in deligne_table()]

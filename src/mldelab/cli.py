@@ -134,12 +134,13 @@ def cmd_indicial(args) -> int:
 def cmd_solve(args) -> int:
     if args.alpha is None:
         raise UsageError("solve requires --alpha")
-    extra = 0
+    reach = args.order
     if args.log:
-        # the log part is solved at the upper root, upper - alpha steps further
-        extra = max([extra] + [int(r - args.alpha) for r in flat_indicial_roots(args.s)
+        # the log solve sweeps through its last resonant step whatever the
+        # order: the gap from alpha up to the upper root
+        reach = max([reach] + [int(r - args.alpha) for r in flat_indicial_roots(args.s)
                                if r > args.alpha and (r - args.alpha).denominator == 1])
-    op = build_flat(args.s, args.order + extra)
+    op = build_flat(args.s, reach)
     try:
         if args.log:
             sol = frobenius_solve_log(op, args.alpha, args.order)

@@ -10,40 +10,37 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .series import DEFAULT_ORDER, PuiseuxSeries, Q
 
 
-@lru_cache(maxsize=None)
-def _divisor_power_sums(k: int, n_max: int) -> tuple[int, ...]:
-    """sigma_k(n) for n = 0..n_max (entry 0 is unused, set to 0)."""
-    out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dk = d**k
-        for n in range(d, n_max + 1, d):
-            out[n] += dk
-    return tuple(out)
+def _divisor_sums(weight: Callable[[int], int], order: int) -> PuiseuxSeries:
+    """1 + sum_{n=1}^{order} (sum over d | n of weight(d)) q^n."""
+    cs = [1] + [0] * order
+    for d in range(1, order + 1):
+        w = weight(d)
+        if w:
+            cs[d::d] = [x + w for x in cs[d::d]]
+    return PuiseuxSeries.from_ints(0, 1, cs)
 
 
 @lru_cache(maxsize=None)
 def eisenstein_e2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """E2 = 1 - 24 sum sigma_1(n) q^n (quasimodular, weight 2)."""
-    s = _divisor_power_sums(1, order)
-    return PuiseuxSeries.from_ints(0, 1, [1] + [-24 * s[n] for n in range(1, order + 1)])
+    return _divisor_sums(lambda d: -24 * d, order)
 
 
 @lru_cache(maxsize=None)
 def eisenstein_e4(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n."""
-    s = _divisor_power_sums(3, order)
-    return PuiseuxSeries.from_ints(0, 1, [1] + [240 * s[n] for n in range(1, order + 1)])
+    return _divisor_sums(lambda d: 240 * d**3, order)
 
 
 @lru_cache(maxsize=None)
 def eisenstein_e6(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """E6 = 1 - 504 sum sigma_5(n) q^n."""
-    s = _divisor_power_sums(5, order)
-    return PuiseuxSeries.from_ints(0, 1, [1] + [-504 * s[n] for n in range(1, order + 1)])
+    return _divisor_sums(lambda d: -504 * d**5, order)
 
 
 @lru_cache(maxsize=None)
@@ -85,11 +82,7 @@ def eta_quotient(factors: dict[int, Fraction | int], order: int = DEFAULT_ORDER)
 @lru_cache(maxsize=None)
 def h2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """Weight-2 level-2 form 1 + 24 sum (sum of odd divisors of n) q^n."""
-    cs = [1] + [0] * order
-    for d in range(1, order + 1, 2):
-        for n in range(d, order + 1, d):
-            cs[n] += 24 * d
-    return PuiseuxSeries.from_ints(0, 1, cs)
+    return _divisor_sums(lambda d: 24 * d if d % 2 else 0, order)
 
 
 @lru_cache(maxsize=None)
@@ -106,13 +99,7 @@ def delta2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 @lru_cache(maxsize=None)
 def i3(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """Weight-1 level-3 form 1 + 6 sum (sum over d|n of Legendre(d|3)) q^n."""
-    cs = [1] + [0] * order
-    for d in range(1, order + 1):
-        chi = (0, 1, -1)[d % 3]
-        if chi:
-            for n in range(d, order + 1, d):
-                cs[n] += 6 * chi
-    return PuiseuxSeries.from_ints(0, 1, cs)
+    return _divisor_sums(lambda d: (0, 6, -6)[d % 3], order)
 
 
 @lru_cache(maxsize=None)

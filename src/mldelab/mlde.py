@@ -66,14 +66,6 @@ class InconsistentResonance(ArithmeticError):
     there is no depth-1 logarithmic solution based at the requested root."""
 
 
-class NonRationalRoot(ArithmeticError):
-    """Indicial polynomial does not factor over the rationals."""
-
-    def __init__(self, polynomial: tuple[Fraction, ...]):
-        self.polynomial = polynomial
-        super().__init__(f"irrational indicial roots; polynomial coefficients {polynomial}")
-
-
 def mu(t: QLike) -> Fraction:
     """The scalar map t -> t(t+2)/144."""
     t = rat(t)
@@ -129,8 +121,7 @@ def build_sharp(s: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
     return MLDEOperator(
         (F.eisenstein_e4(order).scale(-s),
          F.eisenstein_e2(order).scale(Q(-1, 6)),
-         PuiseuxSeries.one(order)),
-        provenance="sharp_s", parameter=(s,))
+         PuiseuxSeries.one(order)))
 
 
 @lru_cache(maxsize=64)
@@ -152,8 +143,7 @@ def build_flat(s: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
                         provenance="flat_s", parameter=(s,))
 
 
-def build_custom(coefficients: Sequence[PuiseuxSeries], provenance: str = "custom",
-                 parameter: Optional[tuple] = None) -> MLDEOperator:
+def build_custom(coefficients: Sequence[PuiseuxSeries]) -> MLDEOperator:
     """Monic operator of order <= 4 from explicit coefficient series."""
     cs = tuple(coefficients)
     if len(cs) - 1 > 4:
@@ -161,7 +151,7 @@ def build_custom(coefficients: Sequence[PuiseuxSeries], provenance: str = "custo
     top = cs[-1]
     if top.base != 0 or top.coefficient(0) != 1 or any(top.nums[1:]):
         raise ValueError("operator must be monic in the top D-power")
-    return MLDEOperator(cs, provenance=provenance, parameter=parameter)
+    return MLDEOperator(cs)
 
 
 def _reach(f: SeriesLike) -> int:
@@ -268,28 +258,21 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fr
 @dataclass(frozen=True)
 class IndicialReport:
     roots: tuple[Fraction, ...]
-    polynomial: tuple[Fraction, ...]
     degenerate: tuple[tuple[Fraction, Fraction], ...]
     resonant: tuple[tuple[Fraction, Fraction], ...]
 
 
 def indicial(op: MLDEOperator) -> IndicialReport:
-    """Roots (with multiplicity) of P, plus degeneracy/resonance flags.
-
-    Raises NonRationalRoot (carrying the polynomial) if P does not split
-    over the rationals.
-    """
-    poly = op.indicial_coefficients()
-    if op.provenance == "flat_s":
-        roots = list(flat_indicial_roots(op.parameter[0]))
-        # cross-check the closed form against the generic extraction
-        generic, rem = _rational_roots(poly)
-        if rem and len(rem) > 1 or sorted(generic) != sorted(roots):
-            raise AssertionError("closed-form and generic indicial roots disagree")
-    else:
-        roots, rem = _rational_roots(poly)
-        if len(rem) > 1:
-            raise NonRationalRoot(poly)
+    """Roots (with multiplicity) of P for flat(s), plus degeneracy/resonance
+    flags.  The roots are the closed form ``flat_indicial_roots``; any other
+    operator raises ValueError."""
+    if op.provenance != "flat_s":
+        raise ValueError(f"indicial analysis covers flat(s) only, not {op.provenance}")
+    roots = list(flat_indicial_roots(op.parameter[0]))
+    # cross-check the closed form against the generic extraction
+    generic, rem = _rational_roots(op.indicial_coefficients())
+    if rem and len(rem) > 1 or sorted(generic) != sorted(roots):
+        raise AssertionError("closed-form and generic indicial roots disagree")
     degenerate = []
     resonant = []
     for i, a in enumerate(roots):
@@ -299,8 +282,7 @@ def indicial(op: MLDEOperator) -> IndicialReport:
                     degenerate.append((a, b))
                 elif (a - b).denominator == 1:
                     resonant.append((max(a, b), min(a, b)))
-    return IndicialReport(tuple(roots), tuple(poly),
-                          tuple(degenerate), tuple(resonant))
+    return IndicialReport(tuple(roots), tuple(degenerate), tuple(resonant))
 
 
 # -- Frobenius solving ------------------------------------------------
@@ -385,21 +367,21 @@ def _frobenius_sweep(table: Sequence[tuple[Sequence[int], int]], alpha: Fraction
     return b, residuals
 
 
-def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER,
-                    a0: QLike = 1) -> PuiseuxSeries:
-    """The unique solution q^alpha(a0 + a_1 q + ...); raises Resonance if
+def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER
+                    ) -> PuiseuxSeries:
+    """The unique solution q^alpha(1 + a_1 q + ...); raises Resonance if
     P(alpha+n) vanishes for some 1 <= n <= order."""
     alpha = rat(alpha)
     table = _operator_tables(op, order)
     p = [Q(nums[0], den) for nums, den in table]
     if _poly_eval(p, alpha) != 0:
         raise NotIndicialRoot(f"P({alpha}) = {_poly_eval(p, alpha)} != 0")
-    return _series_solution(table, alpha, order, rat(a0))
+    return _series_solution(table, alpha, order)
 
 
 def _series_solution(table: Sequence[tuple[Sequence[int], int]], alpha: Fraction,
-                     order: int, a0: Fraction) -> PuiseuxSeries:
-    a, residuals = _frobenius_sweep(table, alpha, order, a0)
+                     order: int) -> PuiseuxSeries:
+    a, residuals = _frobenius_sweep(table, alpha, order, Q(1))
     if residuals:
         raise Resonance(next(iter(residuals)))
     return PuiseuxSeries.from_ints(alpha, 1, a.nums, a.den)
@@ -407,12 +389,16 @@ def _series_solution(table: Sequence[tuple[Sequence[int], int]], alpha: Fraction
 
 def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
                         order: int = DEFAULT_ORDER) -> LogSeries:
-    """Depth-1 logarithmic solution f0 + ell*f1 based at alpha.
+    """Depth-1 logarithmic solution f0 + ell*f1 based at alpha, both parts
+    exact below q^(alpha + order + 1).
 
     alpha must be a double indicial root, or the smaller member of a pair
     of roots with positive integer difference.  f1 is the power-series
     solution at the upper index u; f0 solves L(f0) = -sum_j j*c_j*D^(j-1) f1,
-    normalized so the coefficient of q^u in f0 is zero.
+    normalized so the coefficient of q^u in f0 is zero.  The sweep for f0
+    runs through the last resonant step u - alpha whatever the order, since
+    that step pins f0's free coefficient, so op must reach
+    max(order, u - alpha).  Below q^u the log part is zero.
     """
     alpha = rat(alpha)
     rep = indicial(op)
@@ -427,30 +413,24 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
     else:
         raise NoLogNeeded(f"{alpha} is a simple, non-resonant root")
 
-    # one table serves f1, which runs upper - alpha steps further, and f0
-    top = order + int(upper - alpha)
+    # f0 is swept through step top; f1 only as far as f0 reads it
+    gap = int(upper - alpha)
+    top = max(order, gap)
     table = _operator_tables(op, top)
-    f1 = _series_solution(table, upper, top, Q(1))
+    f1 = _series_solution(table, upper, top - gap)
     # T = sum_j j * c_j * D^(j-1) f1, the ell-interaction term
-    t = None
-    df = f1
-    for j, c in enumerate(op.coefficients):
-        if j >= 2:
-            df = df.euler_derivative()
-        if j >= 1:
-            term = (c * df).scale(j)
-            t = term if t is None else t + term
-    forcing = [-x for x in _steps(t, alpha, order)]
+    t = MLDEOperator(tuple(c.scale(j) for j, c in enumerate(op.coefficients) if j)).apply(f1)
+    forcing = [-x for x in _steps(t, alpha, top)]
     if forcing[0]:
         raise InconsistentResonance("no log solution: inconsistent leading resonance")
     # f0 = part + x * hom, with x the coefficient of q^alpha
-    part, part_res = _frobenius_sweep(table, alpha, order, Q(0), (forcing, t.den))
+    part, part_res = _frobenius_sweep(table, alpha, top, Q(0), (forcing, t.den))
     if upper == alpha:
         # q^alpha is q^u, whose coefficient is gauged to zero
         x, hom, hom_res = Q(0), None, dict.fromkeys(part_res, Q(0))
     else:
         x = None
-        hom, hom_res = _frobenius_sweep(table, alpha, order, Q(1))
+        hom, hom_res = _frobenius_sweep(table, alpha, top, Q(1))
     for n, rp in part_res.items():
         rh = hom_res[n]
         if x is None and rh:
@@ -462,7 +442,9 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
     f0 = PuiseuxSeries.from_ints(alpha, 1, part.nums, part.den)
     if x:
         f0 += PuiseuxSeries.from_ints(alpha, 1, hom.nums, hom.den).scale(x)
-    return LogSeries(f0, f1.truncate(f0.truncation))
+    cut = alpha + order + 1
+    f1 = f1.truncate(cut) if cut > upper else PuiseuxSeries.zero(order, alpha)
+    return LogSeries(f0.truncate(cut), f1)
 
 
 def modular_wronskian(system: Sequence[PuiseuxSeries]) -> PuiseuxSeries:

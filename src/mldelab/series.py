@@ -21,12 +21,13 @@ for the term it returns), the verdict readers ``first_nonzero`` and
 
 A depth-1 logarithmic extension is provided by :class:`LogSeries`,
 representing ``plain + ell*log_part`` where ``ell`` is the formal
-primitive of 1 under the Euler operator ``D = q d/dq``.
+primitive of 1 under the Euler operator ``D = q d/dq``.  Its arithmetic is
+what an operator applies to it: ``D``, the sum of two log series and the
+product by a plain series on the left.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -511,9 +512,6 @@ class PuiseuxSeries:
             "coeffs": [_ratio_str(x, self.den) for x in self.nums],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @staticmethod
     def from_json_dict(d: dict) -> "PuiseuxSeries":
         """Inverse of :meth:`to_json_dict`; raises ValueError on anything
@@ -530,18 +528,6 @@ class PuiseuxSeries:
         if type(order) is not int or s.order != order:
             raise ValueError("coeffs length does not match declared order")
         return s
-
-    def __str__(self) -> str:
-        parts = []
-        for i, x in enumerate(self.nums):
-            if not x:
-                continue
-            c, e = Fraction(x, self.den), self.base + Q(i, self.grid)
-            parts.append(f"{rat_str(c)}*q^{rat_str(e)}" if e else rat_str(c))
-            if len(parts) >= 8:
-                parts.append("...")
-                break
-        return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -561,35 +547,12 @@ class LogSeries:
         """Exponent t such that both parts are exact modulo q^t."""
         return min(self.plain.truncation, self.log_part.truncation)
 
-    @staticmethod
-    def lift(s: PuiseuxSeries) -> "LogSeries":
-        return LogSeries(s, PuiseuxSeries.zero(s.order, s.base, s.grid))
-
-    def __add__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            other = LogSeries.lift(other)
+    def __add__(self, other: "LogSeries") -> "LogSeries":
         return LogSeries(self.plain + other.plain, self.log_part + other.log_part)
 
-    def __sub__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            other = LogSeries.lift(other)
-        return LogSeries(self.plain - other.plain, self.log_part - other.log_part)
-
-    def __neg__(self):
-        return LogSeries(-self.plain, -self.log_part)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LogSeries(self.plain * other, self.log_part * other)
-        if isinstance(other, PuiseuxSeries):
-            return LogSeries(self.plain * other, self.log_part * other)
-        raise TypeError("LogSeries can only be multiplied by plain series or scalars")
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def scale(self, k: QLike) -> "LogSeries":
-        return LogSeries(self.plain.scale(k), self.log_part.scale(k))
+    def __rmul__(self, other: PuiseuxSeries) -> "LogSeries":
+        """other * self, the one product an operator applies."""
+        return LogSeries(self.plain * other, self.log_part * other)
 
     def euler_derivative(self) -> "LogSeries":
         """D(plain + ell*f1) = D(plain) + f1 + ell*D(f1)."""

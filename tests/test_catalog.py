@@ -117,6 +117,30 @@ def test_wronskian_constant_over_eta24():
     assert c1 == c2 == Q(1152, 3125)
 
 
+@pytest.mark.parametrize("order", [8, 25])
+def test_wronskian_pads_are_tight(monkeypatch, order):
+    """One step short on the system or on eta, every Wronskian falls short
+    of the order it reads, and says so."""
+    real = catalog._wronskian_pads
+    padded = []
+    for s in catalog.catalogued_parameters():
+        if not catalog.has_plain_system(s):
+            continue
+        system_pad, eta_pad = real(s)
+        shorter = [(system_pad, eta_pad - 1)]
+        if system_pad:
+            padded.append(s)
+            shorter.append((system_pad - 1, eta_pad))
+        for pads in shorter:
+            monkeypatch.setattr(catalog, "_wronskian_pads", lambda s, pads=pads: pads)
+            with pytest.raises(InsufficientOrder):
+                catalog.wronskian_over_eta24(s, order)
+        monkeypatch.setattr(catalog, "_wronskian_pads", real)
+        assert catalog.wronskian_over_eta24(s, order)[1], s
+    # B.b, B.e, B.g, B.i and B.j lose more to cancellation than their margin
+    assert padded == [Q(-38, 5), Q(2, 5), Q(12, 5), Q(22, 5), Q(27, 5)]
+
+
 def test_remark_solutions_nonnegative_integer():
     assert catalog.REMARK_PARAMETERS == (
         Q(-33, 5), Q(-58, 5), Q(-108, 5), Q(-258, 5))

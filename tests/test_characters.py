@@ -18,18 +18,18 @@ def test_minimal_character_weights():
 
 
 def test_minimal_character_fixtures():
-    mc = ch.minimal_character(Q(-1, 20), 10).series
+    mc = ch.minimal_character(Q(-1, 20), 10)
     e0 = mc.leading()[0]
     assert e0 == Q(-1, 40)                      # h - c/24
     assert [mc.coefficient(e0 + k) for k in range(5)] == [1, 1, 1, 2, 3]
-    vac = ch.minimal_character(0, 10).series
+    vac = ch.minimal_character(0, 10)
     assert vac.leading() == (Q(1, 40), 1)
     assert vac.coefficient(Q(1, 40) + 1) == 0   # no weight-1 state
 
 
 def test_minimal_characters_count_states():
     for h in ch.MINIMAL_WEIGHTS:
-        f = ch.minimal_character(h, 50).series
+        f = ch.minimal_character(h, 50)
         e0 = f.leading()[0]
         for k in range(50):
             c = f.coefficient(e0 + k)
@@ -47,6 +47,31 @@ def test_lattice_theta_fixtures():
     th3 = ch.lattice_theta(ch.lattice([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), 6)
     t = min(cube.truncation, th3.truncation, 6)
     assert (cube.truncate(t) - th3.truncate(t)).is_zero_to_truncation()
+
+
+#: odd and even Gram matrices with offsets whose norms/2 step by 1/2, 1/3,
+#: 1/4, 1/6 or 1/12
+HONEST_THETA_LATTICES = [
+    ([[1]], None), ([[3]], None), ([[5]], None), ([[1, 0], [0, 3]], None),
+    ([[2]], [Q(1, 3)]), ([[6]], [Q(1, 6)]), ([[2, -1], [-1, 2]], [Q(1, 3), Q(2, 3)]),
+    ([[3, 1], [1, 3]], [Q(1, 2), 0]), ([[2, 0], [0, 4]], [Q(1, 2), Q(1, 4)]),
+]
+
+
+@pytest.mark.parametrize("gram, offset", HONEST_THETA_LATTICES)
+def test_lattice_theta_truncation_is_honest(gram, offset):
+    """Every coefficient a theta claims, on or off its grid, is the one a
+    longer enumeration finds, and the claim reaches past its order."""
+    lat = ch.lattice(gram, offset)
+    full = ch.lattice_theta(lat, 10)
+    for k in range(ceil(full.base), 7):
+        th = ch.lattice_theta(lat, k)
+        assert th.truncation > k, (gram, k)
+        step = Q(1, lcm(th.grid, full.grid))
+        e = th.base
+        while e < th.truncation:
+            assert th.coefficient(e) == full.coefficient(e), (gram, k, e)
+            e += step
 
 
 def test_not_positive_definite():

@@ -240,6 +240,17 @@ def test_solve_log_builds_operator_past_upper_root(capsys):
     assert payload["series"]["order"] == 8
 
 
+@pytest.mark.parametrize("s, alpha", [("-138/5", "-11/10"), ("162/5", "-3/5"),
+                                      ("6", "1/2"), ("-6/5", "0")])
+def test_solve_log_at_order_zero(capsys, s, alpha):
+    # orders below the gap to the upper root (3 at s = -138/5) are solved too
+    code, payload = run_json(capsys, "solve", "--s", s, "--alpha", alpha,
+                             "--log", "--order", "0")
+    assert code == 0
+    assert payload["series"]["base_exponent"] == alpha
+    assert payload["series"]["order"] == 0
+
+
 def _log_requests():
     """(s, alpha) with alpha a double root or below another root by a whole
     number, for s = k/5, |k| <= 330."""

@@ -10,7 +10,7 @@ from mldelab.mlde import (SHARP_FACTORIZATIONS, InconsistentResonance,
                           flat_indicial_roots, flat_weighted_apply,
                           frobenius_solve, frobenius_solve_log, indicial,
                           modular_wronskian, mu, serre_derivation)
-from mldelab.series import LogSeries, PuiseuxSeries, Q
+from mldelab.series import InsufficientOrder, LogSeries, PuiseuxSeries, Q
 
 
 def test_mu_values():
@@ -166,6 +166,32 @@ def test_log_solution_inconsistent_at_step_2():
         frobenius_solve_log(build_flat(-18, 12), Q(-1, 2), 10)
 
 
+#: (s, alpha) with the upper root 3, 2, 0 and 0 steps above alpha
+SHORT_LOG = [(Q(-138, 5), Q(-11, 10)), (Q(162, 5), Q(-3, 5)), (Q(6), Q(1, 2)),
+             (Q(-6, 5), Q(0))]
+
+
+@pytest.mark.parametrize("s, alpha", SHORT_LOG)
+def test_log_solution_at_every_order_truncates_a_longer_one(s, alpha):
+    # below the gap to the upper root the log part is zero, and the free
+    # coefficient of f0 is still the one the resonant step pins
+    gap = max(int(r - alpha) for r in flat_indicial_roots(s)
+              if r >= alpha and (r - alpha).denominator == 1)
+    longer = frobenius_solve_log(build_flat(s, 8), alpha, 8)
+    for order in range(8):
+        reach = max(order, gap)
+        sol = frobenius_solve_log(build_flat(s, reach), alpha, order)
+        assert sol.truncation == alpha + order + 1
+        for part in ("plain", "log_part"):
+            got, want = getattr(sol, part), getattr(longer, part)
+            assert got.truncation == sol.truncation, (order, part)
+            assert [got.coefficient(alpha + k) for k in range(order + 1)] == \
+                [want.coefficient(alpha + k) for k in range(order + 1)], (order, part)
+        if reach:
+            with pytest.raises(InsufficientOrder):
+                frobenius_solve_log(build_flat(s, reach - 1), alpha, order)
+
+
 def test_no_log_needed():
     op = build_flat(Q(6, 5), 6)
     with pytest.raises(NoLogNeeded):
@@ -215,7 +241,7 @@ def test_serre_derivation_basics():
 def test_third_order_auxiliary():
     # the auxiliary cubic operator annihilates its closed-form solution
     from mldelab.catalog import aux_third_order
-    op = aux_third_order("-6/5", 34)
+    op = aux_third_order(34)
     p1, p2 = F.psi1(40), F.psi2(40)
     f = (p1.pow(10) - p1.pow(5) * p2.pow(5).scale(36) - p2.pow(10)) / F.eta(40).pow(4)
     res = op.apply(f)
@@ -251,6 +277,11 @@ def test_build_custom_monic_requirement():
     ident = PuiseuxSeries.one(8)
     op = build_custom((PuiseuxSeries.zero(8), ident))
     assert op.order == 1
+
+
+def test_indicial_covers_flat_only():
+    with pytest.raises(ValueError):
+        indicial(build_sharp(mu(Q(19, 5)), 4))
 
 
 def test_sharp_operator():
