@@ -72,12 +72,6 @@ FUSION_WITH_3_4 = {
 
 
 @lru_cache(maxsize=None)
-def _inverse_euler_product(order: int) -> PuiseuxSeries:
-    """1 / prod_{n>=1} (1 - q^n) to the given order."""
-    return F.eta(order).shift(Q(-1, 24)).invert()
-
-
-@lru_cache(maxsize=None)
 def minimal_character(h: QLike, order: int = 50) -> PuiseuxSeries:
     """Irreducible (3,5)-minimal-model character with leading q^(h+1/40)."""
     h = rat(h)
@@ -106,7 +100,7 @@ def minimal_character(h: QLike, order: int = 50) -> PuiseuxSeries:
             break
         n += 1
     numerator = PuiseuxSeries.from_ints(0, 1, nums)
-    series = (numerator * _inverse_euler_product(order)).shift(h - MINIMAL_C / 24)
+    series = (numerator * F.partition_product({0, 1, 2, 3, 4}, order)).shift(h - MINIMAL_C / 24)
     return series.truncate(h - MINIMAL_C / 24 + order)
 
 

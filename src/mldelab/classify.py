@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import catalog
-from .mlde import Resonance, build_flat, flat_indicial_roots, frobenius_solve
+from .mlde import Resonance, build_flat, divisors, flat_indicial_roots, frobenius_solve
 from .series import Q
 
 
@@ -58,21 +58,10 @@ QUASIMODULAR_VALUES: tuple[Fraction, ...] = tuple(sorted(
     {e.s for e in catalog.ENTRIES.values() if e.section.startswith("C.")}))
 
 
-def _signed_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend((d, -d, n // d, -(n // d)))
-        d += 1
-    return sorted(set(out))
-
-
 def enumerate_case(case: CaseSpec) -> list[tuple[Fraction, int]]:
     """All (s, a1) with a1 a non-negative integer, sorted by s."""
     out = []
-    for d in _signed_divisors(case.constant):
+    for d in (sign * p for p in divisors(case.constant) for sign in (1, -1)):
         a1 = case.a1_of_d(d)
         if a1.denominator != 1 or a1 < 0:
             continue

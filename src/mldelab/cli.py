@@ -41,7 +41,7 @@ from fractions import Fraction
 from . import catalog, characters, classify, forms, relations
 from .mlde import (InconsistentResonance, NoLogNeeded, NotIndicialRoot, Resonance,
                    build_flat, flat_indicial_roots, frobenius_solve,
-                   frobenius_solve_log, indicial)
+                   frobenius_solve_log, indicial, log_upper_root)
 from .series import (DEFAULT_ORDER, InsufficientOrder, parse_rat, rat_str,
                      series_from_json_dict)
 
@@ -132,20 +132,15 @@ def cmd_indicial(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.alpha is None:
-        raise UsageError("solve requires --alpha")
-    reach = args.order
-    if args.log:
-        # the log solve sweeps through its last resonant step whatever the
-        # order: the gap from alpha up to the upper root
-        reach = max([reach] + [int(r - args.alpha) for r in flat_indicial_roots(args.s)
-                               if r > args.alpha and (r - args.alpha).denominator == 1])
-    op = build_flat(args.s, reach)
     try:
         if args.log:
+            # the log solve sweeps through its last resonant step whatever
+            # the order: the gap from alpha up to the upper root
+            upper = log_upper_root(flat_indicial_roots(args.s), args.alpha)
+            op = build_flat(args.s, max(args.order, int(upper - args.alpha)))
             sol = frobenius_solve_log(op, args.alpha, args.order)
         else:
-            sol = frobenius_solve(op, args.alpha, args.order)
+            sol = frobenius_solve(build_flat(args.s, args.order), args.alpha, args.order)
     except (NotIndicialRoot, Resonance, NoLogNeeded, InconsistentResonance) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -158,8 +153,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    if not args.series:
-        raise UsageError("apply requires --series FILE")
     try:
         with open(args.series) as fh:
             f = series_from_json_dict(json.load(fh))
@@ -203,8 +196,6 @@ def cmd_catalog(args) -> int:
               [e["label"] for e in entries])
         return EXIT_OK
     if args.catalog_cmd == "build":
-        if not args.label:
-            raise UsageError("catalog build requires --label")
         series = catalog.build_entry(args.label, args.order)
         _json({"label": args.label, "series": series.to_json_dict()})
         return EXIT_OK
@@ -226,8 +217,6 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_characters(args) -> int:
-    if not args.algebra:
-        raise UsageError("characters requires --algebra")
     try:
         d = characters.datum(args.algebra)
     except KeyError as exc:
@@ -320,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve_p = sub.add_parser("solve")
     solve_p.add_argument("--s", type=_rat, required=True)
-    solve_p.add_argument("--alpha", type=_rat, default=None)
+    solve_p.add_argument("--alpha", type=_rat, required=True)
     solve_p.add_argument("--log", action="store_true")
     order(solve_p)
 
     apply_p = sub.add_parser("apply")
     apply_p.add_argument("--s", type=_rat, required=True)
-    apply_p.add_argument("--series", default=None)
+    apply_p.add_argument("--series", required=True)
     order(apply_p)
 
     cls_p = sub.add_parser("classify")
@@ -341,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl_p = cat_sub.add_parser("list")
     table(cl_p)
     cb_p = cat_sub.add_parser("build")
-    cb_p.add_argument("--label", default=None)
+    cb_p.add_argument("--label", required=True)
     order(cb_p)
     cv_p = cat_sub.add_parser("verify")
     which = cv_p.add_mutually_exclusive_group()
@@ -352,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     table(cv_p)
 
     ch_p = sub.add_parser("characters")
-    ch_p.add_argument("--algebra", default=None)
+    ch_p.add_argument("--algebra", required=True)
     ch_p.add_argument("--verify", action="store_true")
     order(ch_p)
     table(ch_p)

@@ -45,8 +45,8 @@ def eisenstein_e6(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 
 @lru_cache(maxsize=None)
 def eisenstein_e8(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """E8 = E4^2 (the weight-8 Eisenstein series)."""
-    return eisenstein_e4(order) * eisenstein_e4(order)
+    """E8 = 1 + 480 sum sigma_7(n) q^n (= E4^2)."""
+    return _divisor_sums(lambda d: 480 * d**7, order)
 
 
 @lru_cache(maxsize=None)
@@ -125,8 +125,9 @@ def delta4(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     return eta_quotient({4: 2, 2: -1}, order)
 
 
-def _restricted_partition_product(residues: set[int], order: int) -> PuiseuxSeries:
-    """prod over n > 0 with n mod 5 in `residues` of (1 - q^n)^(-1)."""
+def partition_product(residues: set[int], order: int) -> PuiseuxSeries:
+    """prod over n > 0 with n mod 5 in `residues` of (1 - q^n)^(-1); with
+    all five residues, 1 / prod (1 - q^n), the partition numbers."""
     cs = [1] + [0] * order
     for n in range(1, order + 1):
         if n % 5 in residues:
@@ -141,7 +142,7 @@ def psi1(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 
     eta^(2/5) * q^(-1/60) * prod over n not = 0, +-2 mod 5 of (1-q^n)^(-1).
     """
-    rr = _restricted_partition_product({1, 4}, order).shift(Q(-1, 60))
+    rr = partition_product({1, 4}, order).shift(Q(-1, 60))
     return eta(order).pow(Q(2, 5)) * rr
 
 
@@ -151,7 +152,7 @@ def psi2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 
     eta^(2/5) * q^(11/60) * prod over n not = 0, +-1 mod 5 of (1-q^n)^(-1).
     """
-    rr = _restricted_partition_product({2, 3}, order).shift(Q(11, 60))
+    rr = partition_product({2, 3}, order).shift(Q(11, 60))
     return eta(order).pow(Q(2, 5)) * rr
 
 

@@ -133,7 +133,7 @@ def build_flat(s: QLike, order: int = DEFAULT_ORDER) -> MLDEOperator:
     e2 = F.eisenstein_e2(order)
     e4 = F.eisenstein_e4(order)
     e6 = F.eisenstein_e6(order)
-    e8 = F.eisenstein_e8(order).truncate(order + 1)
+    e8 = F.eisenstein_e8(order)
     c3 = -e2
     c2 = e2.euler_derivative().scale(3) + e4.scale(a1)
     c1 = -(e2.euler_derivative().euler_derivative()
@@ -192,6 +192,20 @@ def flat_weighted_apply(s: QLike, k: QLike, f: SeriesLike) -> SeriesLike:
 # -- indicial analysis ------------------------------------------------
 
 
+def divisors(n: int) -> list[int]:
+    """The positive divisors of |n| in increasing order, by trial division
+    up to its square root; none for n = 0."""
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return sorted(set(out))
+
+
 def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """(roots with multiplicity, remaining polynomial) of sum c_j x^j."""
     cs = [rat(c) for c in coeffs]
@@ -208,17 +222,6 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fr
     while ints[0] == 0:
         roots.append(Q(0))
         ints = ints[1:]
-
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
 
     def deflate(poly: list[int], x: Fraction) -> list[int]:
         # synthetic division by (x - root); result rescaled to integers
@@ -262,13 +265,19 @@ class IndicialReport:
     resonant: tuple[tuple[Fraction, Fraction], ...]
 
 
+def _flat_roots(op: MLDEOperator) -> tuple[Fraction, ...]:
+    """The closed-form indicial roots of flat(s); any other operator raises
+    ValueError."""
+    if op.provenance != "flat_s":
+        raise ValueError(f"indicial analysis covers flat(s) only, not {op.provenance}")
+    return flat_indicial_roots(op.parameter[0])
+
+
 def indicial(op: MLDEOperator) -> IndicialReport:
     """Roots (with multiplicity) of P for flat(s), plus degeneracy/resonance
     flags.  The roots are the closed form ``flat_indicial_roots``; any other
     operator raises ValueError."""
-    if op.provenance != "flat_s":
-        raise ValueError(f"indicial analysis covers flat(s) only, not {op.provenance}")
-    roots = list(flat_indicial_roots(op.parameter[0]))
+    roots = _flat_roots(op)
     # cross-check the closed form against the generic extraction
     generic, rem = _rational_roots(op.indicial_coefficients())
     if rem and len(rem) > 1 or sorted(generic) != sorted(roots):
@@ -282,7 +291,7 @@ def indicial(op: MLDEOperator) -> IndicialReport:
                     degenerate.append((a, b))
                 elif (a - b).denominator == 1:
                     resonant.append((max(a, b), min(a, b)))
-    return IndicialReport(tuple(roots), tuple(degenerate), tuple(resonant))
+    return IndicialReport(roots, tuple(degenerate), tuple(resonant))
 
 
 # -- Frobenius solving ------------------------------------------------
@@ -373,9 +382,9 @@ def frobenius_solve(op: MLDEOperator, alpha: QLike, order: int = DEFAULT_ORDER
     P(alpha+n) vanishes for some 1 <= n <= order."""
     alpha = rat(alpha)
     table = _operator_tables(op, order)
-    p = [Q(nums[0], den) for nums, den in table]
-    if _poly_eval(p, alpha) != 0:
-        raise NotIndicialRoot(f"P({alpha}) = {_poly_eval(p, alpha)} != 0")
+    p = _poly_eval(op.indicial_coefficients(), alpha)
+    if p != 0:
+        raise NotIndicialRoot(f"P({alpha}) = {p} != 0")
     return _series_solution(table, alpha, order)
 
 
@@ -385,6 +394,21 @@ def _series_solution(table: Sequence[tuple[Sequence[int], int]], alpha: Fraction
     if residuals:
         raise Resonance(next(iter(residuals)))
     return PuiseuxSeries.from_ints(alpha, 1, a.nums, a.den)
+
+
+def log_upper_root(roots: Sequence[Fraction], alpha: Fraction) -> Fraction:
+    """The upper index u of the depth-1 log solution based at the root alpha:
+    alpha itself when it is a double root, else the largest root a positive
+    integer above it.  Raises NotIndicialRoot if alpha is not among roots
+    and NoLogNeeded if it is simple and non-resonant."""
+    if alpha not in roots:
+        raise NotIndicialRoot(f"{alpha} is not an indicial root")
+    if roots.count(alpha) >= 2:
+        return alpha
+    uppers = [r for r in roots if r > alpha and (r - alpha).denominator == 1]
+    if not uppers:
+        raise NoLogNeeded(f"{alpha} is a simple, non-resonant root")
+    return max(uppers)
 
 
 def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
@@ -401,17 +425,7 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
     max(order, u - alpha).  Below q^u the log part is zero.
     """
     alpha = rat(alpha)
-    rep = indicial(op)
-    roots = rep.roots
-    if alpha not in roots:
-        raise NotIndicialRoot(f"{alpha} is not an indicial root")
-    uppers = sorted({r for r in roots if r >= alpha and (r - alpha).denominator == 1})
-    if roots.count(alpha) >= 2:
-        upper = alpha
-    elif len(uppers) >= 2:
-        upper = uppers[-1]
-    else:
-        raise NoLogNeeded(f"{alpha} is a simple, non-resonant root")
+    upper = log_upper_root(_flat_roots(op), alpha)
 
     # f0 is swept through step top; f1 only as far as f0 reads it
     gap = int(upper - alpha)

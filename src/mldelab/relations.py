@@ -223,7 +223,10 @@ def verify_relation(r: RelationRecord, order: int) -> dict:
     first_bad_exponent?, residual?}.  Status is 'verified', 'failed', or
     'quarantined' (a quarantined relation is reported, never asserted).
     """
-    lhs_text, rhs_text = r.formula.split("=")
+    sides = r.formula.split("=")
+    if len(sides) != 2:
+        raise ValueError(f"formula {r.formula!r} needs exactly one '='")
+    lhs_text, rhs_text = sides
     lhs, rhs = evaluate(lhs_text, order), evaluate(r.evaluated_rhs or rhs_text, order)
     bad = (lhs - rhs).first_nonzero(order + Q(1, 2))
     report = {"label": r.label, "formula": r.formula, "order": order}

@@ -571,15 +571,10 @@ class LogSeries:
         return min(leads, key=lambda lead: lead[0]) if leads else None
 
     def to_json_dict(self) -> dict:
-        base = self.base
-        grid = lcm(self.plain.grid, self.log_part.grid,
-                   (self.plain.base - base).denominator,
-                   (self.log_part.base - base).denominator)
-        n = int((self.truncation - base) * grid)
+        base, grid, n, offsets = self.plain._aligned(self.log_part)
 
-        def regrid(s: PuiseuxSeries) -> list[str]:
+        def regrid(s: PuiseuxSeries, off: int) -> list[str]:
             out = ["0"] * n
-            off = int((s.base - base) * grid)
             step = grid // s.grid
             for i, x in enumerate(s.nums):
                 j = off + i * step
@@ -591,8 +586,8 @@ class LogSeries:
             "base_exponent": rat_str(base),
             "grid": grid,
             "order": n - 1,
-            "coeffs": regrid(self.plain),
-            "log_coeffs": regrid(self.log_part),
+            "coeffs": regrid(self.plain, offsets[0]),
+            "log_coeffs": regrid(self.log_part, offsets[1]),
         }
 
 

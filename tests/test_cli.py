@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,6 +157,7 @@ def test_catalog_verify_failure_is_reported(monkeypatch, capsys, selector):
 def test_usage_errors(capsys):
     assert cli.main(["solve", "--s", "6/5"]) == cli.EXIT_USAGE
     assert cli.main(["solve", "--s", "not-a-rational", "--alpha", "0"]) == cli.EXIT_USAGE
+    assert cli.main(["apply", "--s", "6/5"]) == cli.EXIT_USAGE
     assert cli.main(["catalog", "build"]) == cli.EXIT_USAGE
     assert cli.main(["catalog", "build", "--label", "nope"]) == cli.EXIT_USAGE
     assert cli.main(["catalog", "verify", "--label", "nope"]) == cli.EXIT_USAGE
@@ -187,6 +191,17 @@ def test_rational_inside_cap_is_read(capsys, s):
     # neither value has 0 as an indicial root
     assert cli.main(["solve", "--s", s, "--alpha", "0", "--order", "2"]) == cli.EXIT_VERIFY
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("s, alpha", [("1234/997", "0"), ("1e5", "1/2")])
+def test_log_solve_off_the_roots_exits_promptly(s, alpha):
+    # the log solve reads the closed-form roots and runs no root search
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "mldelab.cli", "solve", "--s", s, "--alpha", alpha, "--log"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == cli.EXIT_VERIFY
+    assert "is not an indicial root" in done.stderr
 
 
 def test_verification_failure_exit(capsys):

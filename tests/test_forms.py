@@ -14,9 +14,15 @@ def test_eisenstein_prefixes():
 
 
 def test_e8_is_e4_squared():
-    e8 = F.eisenstein_e8(20)
-    sq = F.eisenstein_e4(20) * F.eisenstein_e4(20)
-    assert (e8.truncate(20) - sq.truncate(20)).is_zero_to_truncation()
+    # E8 comes from the sigma_7 sieve, E4^2 from a product
+    for n in range(61):
+        assert F.eisenstein_e8(n) == F.eisenstein_e4(n) * F.eisenstein_e4(n), n
+
+
+def test_partition_product_inverts_eta():
+    for n in range(61):
+        assert F.partition_product({0, 1, 2, 3, 4}, n) == \
+            F.eta(n).shift(Q(-1, 24)).invert(), n
 
 
 def test_eta_and_quotients():

@@ -3,13 +3,16 @@ import random
 import pytest
 
 from mldelab import forms as F
+from mldelab.catalog import catalogued_parameters
+from mldelab.classify import CASES, enumerate_case
 from mldelab.mlde import (SHARP_FACTORIZATIONS, InconsistentResonance,
                           MLDEOperator, NoLogNeeded, NotIndicialRoot,
                           Resonance, alphas, build_custom,
-                          build_flat, build_sharp, factored_apply,
+                          build_flat, build_sharp, divisors, factored_apply,
                           flat_indicial_roots, flat_weighted_apply,
                           frobenius_solve, frobenius_solve_log, indicial,
-                          modular_wronskian, mu, serre_derivation)
+                          log_upper_root, modular_wronskian, mu,
+                          serre_derivation)
 from mldelab.series import InsufficientOrder, LogSeries, PuiseuxSeries, Q
 
 
@@ -37,6 +40,51 @@ def test_indicial_root_sum_is_one():
         assert sum(flat_indicial_roots(s)) == 1
         rep = indicial(build_flat(s, 4))
         assert sorted(rep.roots) == sorted(flat_indicial_roots(s))
+
+
+def test_closed_form_roots_factor_the_indicial_polynomial():
+    # each coefficient of P(x; s) and of prod (x - r) over the closed-form
+    # roots is a polynomial of degree <= 4 in s, so agreement at five
+    # distinct s is agreement at every s
+    for s in (Q(0), Q(1), Q(-3, 5), Q(17, 3), Q(-1234, 997)):
+        prod = [Q(1)]  # coefficients, lowest degree first
+        for r in flat_indicial_roots(s):
+            prod = [a - r * b for a, b in zip([Q(0)] + prod, prod + [Q(0)])]
+        assert tuple(prod) == build_flat(s, 0).indicial_coefficients(), s
+
+
+def test_divisors_match_a_scan():
+    for n in list(range(1, 501)) + list(range(-500, 0)):
+        assert divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0], n
+
+
+def _upper_by_parent_rule(roots, alpha):
+    """The upper index as frobenius_solve_log chose it before log_upper_root."""
+    if alpha not in roots:
+        return NotIndicialRoot
+    uppers = sorted({r for r in roots if r >= alpha and (r - alpha).denominator == 1})
+    if roots.count(alpha) >= 2:
+        return alpha
+    if len(uppers) >= 2:
+        return uppers[-1]
+    return NoLogNeeded
+
+
+def test_log_upper_root_keeps_the_rule():
+    params = set(catalogued_parameters())
+    for case in CASES.values():
+        params.update(s for s, _ in enumerate_case(case))
+    for s in sorted(params):
+        roots = flat_indicial_roots(s)
+        for alpha in roots:
+            want = _upper_by_parent_rule(roots, alpha)
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    log_upper_root(roots, alpha)
+            else:
+                assert log_upper_root(roots, alpha) == want, (s, alpha)
+    with pytest.raises(NotIndicialRoot):
+        log_upper_root(flat_indicial_roots(Q(6, 5)), Q(1, 2))
 
 
 def test_frobenius_fixtures():

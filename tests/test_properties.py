@@ -1,14 +1,14 @@
 """Property suites (hypothesis, 200 derandomized cases each)."""
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mldelab import forms as F
 from mldelab.mlde import build_flat, flat_weighted_apply, serre_derivation
-from mldelab.series import InsufficientOrder, PuiseuxSeries, Q
+from mldelab.series import InsufficientOrder, LogSeries, PuiseuxSeries, Q, rat_str
 
 SET = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -387,3 +387,33 @@ def test_coefficient_matches_reference(b1, g1, xs, b2, g2, ys, gap):
             else:
                 got = s.coefficient(e)
                 assert type(got) is Fraction and got == nonzero.get(e, 0)
+
+
+# -- suite 10: log-series serialization against a Fraction regrid -----
+
+def ref_log_json(f: LogSeries) -> dict:
+    """Both parts laid out on the finest grid that holds them, from the
+    smaller base up to the common truncation."""
+    base = f.base
+    grid = lcm(f.plain.grid, f.log_part.grid,
+               (f.plain.base - base).denominator, (f.log_part.base - base).denominator)
+    n = int((f.truncation - base) * grid)
+
+    def regrid(s: PuiseuxSeries) -> list[str]:
+        out = ["0"] * n
+        off = int((s.base - base) * grid)
+        step = grid // s.grid
+        for i, c in enumerate(s.coeffs):
+            if off + i * step < n:
+                out[off + i * step] = rat_str(c)
+        return out
+
+    return {"base_exponent": rat_str(base), "grid": grid, "order": n - 1,
+            "coeffs": regrid(f.plain), "log_coeffs": regrid(f.log_part)}
+
+
+@SET
+@given(small_rational, grids, kernel_coeffs, small_rational, grids, kernel_coeffs)
+def test_log_json_matches_reference(b1, g1, xs, b2, g2, ys):
+    f = LogSeries(series(b1, g1, xs), series(b2, g2, ys))
+    assert f.to_json_dict() == ref_log_json(f)

@@ -60,6 +60,8 @@ def test_evaluator_reads_substitution_and_derivative():
     ("E4 = H2^2 + 192*Delta2^2 H2", "'H2'"),
     ("E4 = H2^x", "'x'"),
     ("E4 = H2^2 + 192*Delta2(1)^2", "'1'"),
+    ("E4", "'E4'"),
+    ("E4 = E4 = E4", "'E4 = E4 = E4'"),
 ])
 def test_malformed_formula_names_its_token(formula, token):
     with pytest.raises(ValueError, match=token):
