@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,20 @@ def test_unknown_label():
         catalog.entry("B.z.f0")
     with pytest.raises(catalog.UnknownLabel):
         catalog.build_entry("B.z.f0", 10)
+
+
+def test_entries_match_their_digests():
+    """Every entry at orders 0, 8 and 16 hashes as recorded: its base, grid,
+    truncation and every coefficient are pinned, not only its printed
+    prefix and its annihilation."""
+    path = Path(__file__).parent / "data" / "catalog-entries.json"
+    pinned = json.loads(path.read_text())
+    assert sorted(pinned) == sorted(catalog.labels())
+    for label, by_order in pinned.items():
+        for n, digest in by_order.items():
+            d = catalog.build_entry(label, int(n)).to_json_dict()
+            got = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+            assert got == digest, (label, n)
 
 
 def test_verify_all_clean(catalog_reports):
