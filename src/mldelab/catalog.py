@@ -2,7 +2,9 @@
 
 Each entry is a recipe over the named forms (eta, theta, Rogers-Ramanujan
 functions, the level 2-15 quotients) and the polynomial tables shipped in
-``data/polynomials.json``.  ``build_entry`` evaluates a recipe to an exact
+``data/polynomials.json``.  An entry of sections B.a-B.q stores its recipe
+as the printed formula, read by :mod:`mldelab.formula`; the quasimodular
+pairs of C.a-C.f are code.  ``build_entry`` evaluates a recipe to an exact
 series; ``verify_entry`` checks the stored printed prefix and then applies
 the entry's designated annihilating operator, and reports a failure with
 its first bad exponent and residual instead of raising.
@@ -27,6 +29,7 @@ from importlib import resources
 from math import ceil, floor, gcd
 from typing import Callable, Optional, Sequence
 
+from . import formula
 from . import forms as F
 from .mlde import (MLDEOperator, build_custom, build_flat, flat_indicial_roots,
                    frobenius_solve, frobenius_solve_log, modular_wronskian)
@@ -147,362 +150,11 @@ def _binary_form(terms, degree: int, values: Sequence[PuiseuxSeries]) -> Puiseux
     return prefactor * (h + cs[0])
 
 
-# -- shared constituents ----------------------------------------------
-
-class _Forms:
-    """What a recipe reads: the named forms at one order n (``k.psi1`` is
-    ``forms.psi1(n)``), the constant 1, a Frobenius log solution and the
-    quasimodular fit, all exact n + 1 steps past their base."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __getattr__(self, name: str) -> PuiseuxSeries:
-        return getattr(F, name)(self.n)
-
-    def one(self) -> PuiseuxSeries:
-        return PuiseuxSeries.one(self.n)
-
-    def log_solution(self, s: QLike, alpha: Fraction) -> LogSeries:
-        return frobenius_solve_log(build_flat(s, self.n), alpha, self.n)
-
-    def fit(self, s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries):
-        return _fit(s, x, y)
-
-
-class _Lead:
-    """A series reduced to its base exponent, the one thing about it that
-    does not depend on the order: products add bases, sums take the smaller
-    (a scalar sits at q^0), powers and substitutions scale it, and every
-    other operation a recipe applies keeps it."""
-
-    __slots__ = ("base",)
-    truncation = None  # only ever handed back to truncate, which keeps the base
-
-    def __init__(self, base: Fraction):
-        self.base = base
-
-    def __add__(self, other):
-        return _Lead(min(self.base, other.base if isinstance(other, _Lead) else 0))
-
-    def __mul__(self, other):
-        return _Lead(self.base + other.base) if isinstance(other, _Lead) else self
-
-    def __truediv__(self, other):
-        return self * other.invert() if isinstance(other, _Lead) else self
-
-    def pow(self, r: QLike) -> "_Lead":
-        return _Lead(self.base * rat(r))
-
-    def invert(self) -> "_Lead":
-        return self.pow(-1)
-
-    def leading(self) -> tuple[Fraction, int]:
-        return self.base, 1
-
-    def _same(self, *_):
-        return self
-
-    __radd__ = __sub__ = __rsub__ = __add__
-    __rmul__ = __mul__
-    __pow__ = substitute_power = pow
-    __neg__ = euler_derivative = integrate_q = scale = truncate = _same
-
-
-class _Leads:
-    """The recipes' reading of :class:`_Forms` on leads: each form's base is
-    read off the form at order 0, a log solution starts at its root alpha,
-    and any fit will do, since a*x + b*y keeps the smaller base of x and y."""
-
-    def __getattr__(self, name: str) -> _Lead:
-        return _Lead(getattr(F, name)(0).base)
-
-    def one(self) -> _Lead:
-        return _Lead(Q(0))
-
-    def log_solution(self, s: QLike, alpha: Fraction) -> _Lead:
-        return _Lead(alpha)
-
-    def fit(self, s: Fraction, x: _Lead, y: _Lead) -> tuple[int, int]:
-        return 1, 1
-
-
-def _ep(r: QLike, k):
-    """eta^r from the forms k (r may be any rational)."""
-    return k.eta.pow(rat(r))
-
-
-def _pol(name: str, *vals: PuiseuxSeries) -> PuiseuxSeries:
-    return evaluate_polynomial(name, vals)
-
-
-def _unit(f: PuiseuxSeries) -> PuiseuxSeries:
-    """f scaled to leading coefficient 1, as a solution of CFT type is."""
-    return f.scale(1 / f.leading()[1])
-
-
-# -- recipe builders, one per subsection -------------------------------
-# Each reads its forms from k (a _Forms at order n, or _Leads for the
-# margin, see section_margin) and returns {short_label: series}, every
-# entry exact n + 1 steps past its base.  A recipe carries no overall
-# scale: the caller divides every plain entry by its leading coefficient.
-# Constants that weigh one term against another are part of the recipe and
-# stay.
-
-def _bld_B_a(k):
-    p1, p2 = k.psi1, k.psi2
-    d2, h2 = k.delta2, k.h2
-    em = _ep(Q(-42, 5), k)
-    p1_5, p2_5 = p1**5, p2**5
-    p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
-    f0 = p2 * d2 * (11 * p1_10 - 66 * cross - p2_10 + h2) * em
-    f45 = p1 * d2 * (-p1_10 + 66 * cross + 11 * p2_10 + h2) * em
-    fm12 = p2 * (-h2 * h2 + 192 * d2 * d2
-                 + h2 * (22 * p1_10 - 132 * cross - 2 * p2_10)) * em
-    fm710 = p1 * (h2 * h2 - 192 * d2 * d2
-                  + h2 * (2 * p1_10 - 132 * cross - 22 * p2_10)) * em
-    return {"f0": f0, "f4/5": f45, "f-1/2": fm12, "f-7/10": fm710}
-
-
-def _bld_B_b(k):
-    p1, p2 = k.psi1, k.psi2
-    i15, d15, i3 = k.i15, k.delta15, k.i3
-    i3q5 = k.i3.substitute_power(5)
-    d3 = k.delta3
-    em = _ep(Q(-32, 5), k)
-    w = p2**5
-    fm815 = p1 * _pol("G1", i15, d15, i3, i3q5) * em
-    fm13 = p2 * _pol("G1", i15, d15, -i3, -i3q5) * em
-    f45 = p1 * _pol("G2", i15, d15, i3, i3q5, w) * em / (d3 * d3)
-    f0 = p2 * _pol("G3", i15, d15, i3, i3q5, w) * em / (d3 * d3)
-    return {"f-8/15": fm815, "f-1/3": fm13, "f4/5": f45, "f0": f0}
-
-
-def _bld_B_c(k):
-    p1, p2 = k.psi1, k.psi2
-    p1_5, p2_5 = p1**5, p2**5
-    f15 = (p1**4 * p2 * (p1_5 - 3 * p2_5)).integrate_q()
-    f45 = (p1 * p2**4 * (12 * p1_5 + 4 * p2_5)).integrate_q()
-    aux = (p1_5 * p1_5 - 36 * p1_5 * p2_5 - p2_5 * p2_5) * _ep(-4, k)
-    return {"f0": k.one(), "f1/5": f15, "f4/5": f45, "aux": aux}
-
-
-def _bld_B_d(k):
-    th, thq5 = k.theta, k.theta.substitute_power(5)
-    d4, d4q5 = k.delta4, k.delta4.substitute_power(5)
-    e, ip1, ip2 = _ep(Q(-3, 5), k), k.psi1.pow(-1), k.psi2.pow(-1)
-    return {
-        "f0": (th + thq5) * e * ip1,
-        "f4/5": (th - thq5) * e * ip2,
-        "f1/4": (d4 + d4q5) * e * ip1,
-        "f1/20": (d4 - d4q5) * e * ip2,
-    }
-
-
-def _bld_B_e(k):
-    i15, d15, i3 = k.i15, k.delta15, k.i3
-    i3q5 = k.i3.substitute_power(5)
-    e, ip1, ip2 = _ep(Q(-8, 5), k), k.psi1.pow(-1), k.psi2.pow(-1)
-    d3sq = k.delta3 ** 2
-    # the printed denominators of the last two omit the Delta3^2 factor;
-    # without it the weight is 3 instead of 1 and the leading exponent is
-    # off the printed value
-    return {
-        "f0": (i15 - d15 + i3) * e * ip1,
-        "f4/5": (-i15 + d15 + i3) * e * ip2,
-        "f1/3": _pol("B.e.G", i15, d15, i3, i3q5) * e * ip1 / d3sq,
-        "f2/15": _pol("B.e.G", -i15, -d15, i3, i3q5) * e * ip2 / d3sq,
-    }
-
-
-def _bld_B_f(k):
-    p1, p2 = k.psi1, k.psi2
-    em = _ep(Q(-12, 5), k)
-    p1_5, p2_5 = p1**5, p2**5
-    return {
-        "f0": p1 * (p1_5 + 2 * p2_5) * em,
-        "f1/5": p2 * (2 * p1_5 - p2_5) * em,
-        "f2/5": p1**4 * p2**2 * em,
-        "f4/5": p1**2 * p2**4 * em,
-    }
-
-
-def _bld_B_g(k):
-    p1, p2 = k.psi1, k.psi2
-    h2, h2q5 = k.h2, k.h2.substitute_power(5)
-    d2, d2q5 = k.delta2, k.delta2.substitute_power(5)
-    p1q2, p2q2 = p1.substitute_power(2), p2.substitute_power(2)
-    em = _ep(Q(-18, 5), k)
-    p1_5, p2_5 = p1**5, p2**5
-    a5, b5 = p1q2**5, p2q2**5
-    body = 8 * p2_5 * (18 * p1_5 + p2_5) + 16 * (a5 * a5 + 21 * a5 * b5 - 2 * b5 * b5)
-    ip1, ip2 = p1.pow(-1), p2.pow(-1)
-    return {
-        # printed as 5*H2(q) + 19*H2(q^5); the recursion forces the swap
-        "f0": (body + 19 * h2 + 5 * h2q5) * em * ip1,
-        "f4/5": (-body + 21 * h2 - 5 * h2q5) * em * ip2,
-        "f1/2": (d2 * (5 * p1_5 + p2_5 + a5 - b5)
-                 + d2q5 * (7 * p1_5 - p2_5 - a5 - 7 * b5)) * em * p1.pow(-6),
-        "f3/10": (d2 * (-p1_5 + 5 * p2_5 + a5 + b5)
-                  + d2q5 * (p1_5 + 7 * p2_5 + 7 * a5 - b5)) * em * p2.pow(-6),
-    }
-
-
-def _bld_B_h(k):
-    p1, p2 = k.psi1, k.psi2
-    em = _ep(Q(-24, 5), k)
-    p1_5, p2_5 = p1**5, p2**5
-    p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
-    return {
-        "f0": p1**2 * (p1_10 + 24 * cross - 6 * p2_10) * em,
-        "f2/5": p2**2 * (6 * p1_10 + 24 * cross - p2_10) * em,
-        "f3/5": p1**4 * p2**3 * (4 * p1_5 + 3 * p2_5) * em,
-        "f4/5": p1**3 * p2**4 * (3 * p1_5 - 4 * p2_5) * em,
-    }
-
-
-def _bld_B_i(k):
-    i15, d15, i3 = k.i15, k.delta15, k.i3
-    i3q5 = k.i3.substitute_power(5)
-    d3 = k.delta3
-    e = _ep(Q(-28, 5), k)
-    p1, p2 = k.psi1, k.psi2
-    ip1, ip2 = p1.pow(-1), p2.pow(-1)
-    w = p2**5
-    return {
-        "f0": _pol("G4", i15, d15, i3, i3q5) * ip1 * e,
-        "f4/5": _pol("G4", -i15, -d15, i3, i3q5) * ip2 * e,
-        "f2/3": _pol("G5", i15, d15, i3, i3q5, w) * ip1 * e / d3,
-        # the printed denominator omits the eta power present in every
-        # sibling entry; weight bookkeeping forces it
-        "f7/15": _pol("G6", i15, d15, i3, i3q5, w) * ip2 * e / d3,
-    }
-
-
-def _bld_B_j(k):
-    th, thq5 = k.theta, k.theta.substitute_power(5)
-    p1, p2 = k.psi1, k.psi2
-    d4, d4q5 = k.delta4, k.delta4.substitute_power(5)
-    p1q4_5, p2q4_5 = p1.substitute_power(4) ** 5, p2.substitute_power(4) ** 5
-    e = _ep(Q(-33, 5), k)
-    ip1, ip2, id4 = p1.pow(-1), p2.pow(-1), d4.invert()
-    w = d4**3 * d4q5
-    return {
-        "f0": _pol("G7", th, thq5, p1**5, p2**5) * ip1 * e,
-        "f4/5": _pol("G8", th, thq5, p1**5, p2**5) * ip2 * e,
-        "f3/4": _pol("G9", th, thq5, p1q4_5, p2q4_5, w) * ip1 * id4 * e,
-        "f11/20": _pol("G10", th, thq5, p1q4_5, p2q4_5, w) * ip2 * id4 * e,
-    }
-
-
-def _bld_B_k(k):
-    p1, p2 = k.psi1, k.psi2
-    em = _ep(Q(-36, 5), k)
-    p1_5, p2_5 = p1**5, p2**5
-    p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
-    p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
-    f0 = p1**3 * (p1_15 + 126 * p1_10 * p2_5 + 117 * p1_5 * p2_10 - 12 * p2_15) * em
-    f35 = p2**3 * (12 * p1_15 + 117 * p1_10 * p2_5 - 126 * p1_5 * p2_10 + p2_15) * em
-    f45 = p1**4 * p2**4 * (9 * p1_10 + 26 * cross - 9 * p2_10) * em
-    log = k.log_solution(6, Q(1, 2))
-    return {"f0": f0, "f3/5": f35, "f4/5": f45, "log": log}
-
-
-def _bld_B_l(k):
-    p1, p2 = k.psi1, k.psi2
-    p1_5, p2_5 = p1**5, p2**5
-    p1_10, p2_10 = p1_5 * p1_5, p2_5 * p2_5
-    p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
-    em = _ep(Q(-38, 5), k)
-    f0 = _unit(p1**4 * (p1_15 + 171 * p1_10 * p2_5 + 247 * p1_5 * p2_10
-                        - 57 * p2_15) * em)
-    f45 = _unit(p2**4 * (57 * p1_15 + 247 * p1_10 * p2_5 - 171 * p1_5 * p2_10
-                         + p2_15) * em)
-    e4m = _ep(-4, k)
-    e185 = _ep(Q(18, 5), k)
-    f56 = (30 * f45 * (p1**4 * p2 * (p1_5 - 3 * p2_5) * e4m)
-           - f0 * (f45 * e185 * p2).integrate_q())
-    f1930 = (10 * f0 * (p1 * p2**4 * (3 * p1_5 + p2_5) * e4m) / 19
-             - f45 * (f0 * e185 * p1).integrate_q())
-    return {"f0": f0, "f4/5": f45, "f5/6": f56, "f19/30": f1930}
-
-
-def _bld_B_m(k):
-    p1, p2 = k.psi1, k.psi2
-    em = _ep(-12, k)
-    return {
-        "f0": _pol("B.m.P", p1, p2) * em,
-        # printed denominator "3 eta^22" has the wrong weight; eta^12 is forced
-        "f4/5": _pol("B.m.Q", p1, p2) * em,
-        "f1": _pol("B.m.R", p1, p2) * em,
-        "f6/5": _pol("B.m.S", p1, p2) * em,
-    }
-
-
-def _bld_B_n(k):
-    p1, p2 = k.psi1, k.psi2
-    # the printed eta^12 under G11 has weight 6, but G11 has weight 48/5;
-    # eta^(96/5) (used by the two sibling entries) is forced
-    em = _ep(Q(-96, 5), k)
-    return {
-        "f-4/5": _pol("G11", p1, p2) * em,
-        "f0": k.one(),
-        "f4/5": _pol("G12", p1, p2) * em,
-        "f1": _pol("G13", p1, p2) * em,
-    }
-
-
-def _bld_B_o(k):
-    p1, p2 = k.psi1, k.psi2
-    em = _ep(-12, k)
-    return {
-        # printed with a global minus sign, contradicting its own leading
-        # coefficient +1; the unsigned form is the solution
-        "f-1/5": _pol("B.o.P", p1, p2) * em,
-        "f0": _pol("B.o.Q", p1, p2) * em,
-        "f4/5": _pol("B.o.R", p1, p2) * em,
-        "f8/5": _pol("B.o.S", p1, p2) * em,
-    }
-
-
-def _bld_B_p(k):
-    p1, p2 = k.psi1, k.psi2
-    em = _ep(Q(-24, 5), k)
-    p1_5, p2_5 = p1**5, p2**5
-    p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
-    return {
-        "f-1/5": p1**2 * (p1_10 - 66 * cross - 11 * p2_10) * em,
-        # printed bracket psi1^5(2psi1^5+11psi2^5) misses the +4psi2^10
-        # term; with it the series is the unique resonant solution at 0
-        # with a1 = 33/2 (checked against the recursion)
-        "f0": p1 * p2 * (2 * p1_10 + 11 * cross + 4 * p2_10) * em,
-        "f1/5": p2**2 * (11 * p1_10 - 66 * cross - p2_10) * em,
-        # printed bracket has -2psi2^5; +2 is forced by the recursion
-        "f1": p1 * p2**6 * (11 * p1_5 + 2 * p2_5) * em,
-    }
-
-
-def _bld_B_q(k):
-    p1, p2 = k.psi1, k.psi2
-    e25 = _ep(Q(-2, 5), k)
-    f0 = _unit(p2 * e25)
-    fm15 = _unit(p1 * e25)
-    p1_5, p2_5 = p1**5, p2**5
-    p1_10, p2_10, cross = p1_5 * p1_5, p2_5 * p2_5, p1_5 * p2_5
-    p1_15, p2_15 = p1_10 * p1_5, p2_10 * p2_5
-    br2 = (p1_10 - 11 * cross - p2_10) ** 2
-    e14m, e4m = _ep(-14, k), _ep(-4, k)
-    fm16 = (30 * p1**7 * p2**3 * (p1_5 - 3 * p2_5) * br2 * e14m
-            - f0 * (p1_5 * (p1_15 + 171 * p1_10 * p2_5 + 247 * p1_5 * p2_10
-                            - 57 * p2_15) * e4m).integrate_q())
-    # printed second integrand starts with psi1^5, whose leading exponent
-    # would put the product at q^(-11/60) instead of the printed q^(49/60);
-    # the psi2^5 companion bracket is forced
-    f1930 = (10 * p1**3 * p2**7 * (3 * p1_5 + p2_5) * br2 * e14m
-             - fm15 * (p2_5 * (57 * p1_15 + 247 * p1_10 * p2_5
-                               - 171 * p1_5 * p2_10 + p2_15) * e4m
-                       / 3).integrate_q())
-    return {"f0": f0, "f-1/5": fm15, "f-1/6": fm16, "f19/30": f1930}
+def _table_base(name: str, bases: Sequence[Fraction]) -> Fraction:
+    """The base of a stored polynomial at arguments of the given bases: the
+    smallest over its terms, as a sum of the terms has."""
+    return min(sum(e * b for e, b in zip(exps, bases))
+               for _, exps in polynomial(name)["terms"])
 
 
 # -- the quasimodular pairs (positive-depth solutions) -----------------
@@ -510,10 +162,12 @@ def _bld_B_q(k):
 # (psi1, psi2) or (psi2, -psi1); the depth-1 structure gives the log
 # companion G = ell*F + 12*A with 12*A = a*(deg P/5) * P(u,v) / eta^m.
 # The operator fixes a : b and the leading coefficient 1 fixes the scale,
-# so neither constant is stored: ``_fit`` derives both.
+# so neither constant is stored: ``_fit`` derives both.  These recipes are
+# code, not formulas, and read their forms and tables through the
+# semantics k (a formula.Series, or formula.Leads for the margin).
 
 #: whole steps past their base at which the fit cuts its two terms
-_FIT_STEPS = 3
+_FIT_STEPS = 2
 
 
 def _fit(s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries) -> tuple[Fraction, Fraction]:
@@ -526,15 +180,16 @@ def _fit(s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries) -> tuple[Fraction, Fra
     return ry.coefficient(e), -rx.coefficient(e)
 
 
-def _qm(s: Fraction, m: Fraction, p: PuiseuxSeries, q: PuiseuxSeries,
-        degree: int, k):
+def _qm(s: Fraction, m: Fraction, p, q, degree: int, k):
     """(F, G) for P(u,v) = p and Q(u,v) = q of the given degree in (u, v).
     The terms of a*x + b*y cancel from min(x.base, y.base) up to the
     entry's exponent, so the scale is read off the whole sum, and those
-    cancelled steps are the section's margin."""
-    em = _ep(-m, k)
-    x, y = p.euler_derivative() * em, q * em
-    a, b = k.fit(s, x, y)
+    cancelled steps are the section's margin; on leads both are that min."""
+    em = k.pow(k.form("eta"), -m, "eta")
+    x, y = k.mul(k.derive(p), em), k.mul(q, em)
+    if isinstance(k, formula.Leads):
+        return min(x, y), min(x, y)
+    a, b = _fit(s, x, y)
     f = x * a + y * b
     lead = f.leading()[1]
     f, a = f.scale(1 / lead), a / lead
@@ -559,41 +214,37 @@ _QUASIMODULAR: dict[str, tuple[str, str, Fraction, str]] = {
 def _bld_C(section: str, k) -> dict:
     pname, qname, m, swapped = _QUASIMODULAR[section]
     s = _section_parameter(section)
-    p1, p2 = k.psi1, k.psi2
+    p1, p2 = k.form("psi1"), k.form("psi2")
     out = {}
     for name in ("f0", "f4/5"):
-        u, v = (p2, -p1) if name == swapped else (p1, p2)
+        u, v = (p2, k.neg(p1)) if name == swapped else (p1, p2)
         out[name], out["g" + name[1:]] = _qm(
-            s, m, _pol(pname, u, v), _pol(qname, u, v),
+            s, m, k.table(pname, (u, v)), k.table(qname, (u, v)),
             polynomial(pname)["degree"], k)
     return out
 
 
 def _bld_C_e(k):
     # P = Q = v, of degree 1; the fit finds b = 0
-    s, p1, p2 = _section_parameter("C.e"), k.psi1, k.psi2
+    s, p1, p2 = _section_parameter("C.e"), k.form("psi1"), k.form("psi2")
     f0, g0 = _qm(s, Q(12, 5), p2, p2, 1, k)
-    f45, g45 = _qm(s, Q(12, 5), -p1, -p1, 1, k)
+    f45, g45 = _qm(s, Q(12, 5), k.neg(p1), k.neg(p1), 1, k)
     return {"f0": f0, "f4/5": f45, "g0": g0, "g4/5": g45}
 
 
 def _bld_C_f(k):
     # P = Q, and the fit finds b = 0; f0's a = 5/228 is printed with 28
-    s, p1, p2 = _section_parameter("C.f"), k.psi1, k.psi2
+    s, p1, p2 = _section_parameter("C.f"), k.form("psi1"), k.form("psi2")
     out = {}
     for name, table in (("f0", "psi-bracket-2"), ("f1/5", "psi-bracket-1")):
-        pv = _pol(table, p1, p2)
+        pv = k.table(table, (p1, p2))
         out[name], out["g" + name[1:]] = _qm(
             s, Q(48, 5), pv, pv, polynomial(table)["degree"], k)
     return out
 
 
-_BUILDERS: dict[str, Callable[[object], dict]] = {
-    "B.a": _bld_B_a, "B.b": _bld_B_b, "B.c": _bld_B_c, "B.d": _bld_B_d,
-    "B.e": _bld_B_e, "B.f": _bld_B_f, "B.g": _bld_B_g, "B.h": _bld_B_h,
-    "B.i": _bld_B_i, "B.j": _bld_B_j, "B.k": _bld_B_k, "B.l": _bld_B_l,
-    "B.m": _bld_B_m, "B.n": _bld_B_n, "B.o": _bld_B_o, "B.p": _bld_B_p,
-    "B.q": _bld_B_q, "C.e": _bld_C_e, "C.f": _bld_C_f,
+_FITTED: dict[str, Callable[[object], dict]] = {
+    "C.e": _bld_C_e, "C.f": _bld_C_f,
     **{section: partial(_bld_C, section) for section in _QUASIMODULAR},
 }
 
@@ -609,6 +260,9 @@ class CatalogEntry:
     s: Fraction
     exponent: Fraction
     printed_prefix: Optional[tuple[Fraction, ...]]
+    #: the recipe as printed (with its slips corrected), read by
+    #: ``formula.evaluate``; empty for a quasimodular pair (``_FITTED``)
+    formula: str = ""
     operator: str = "flat"      # flat | aux3 | log
     note: str = ""
 
@@ -624,130 +278,210 @@ def _px(*cs) -> tuple[Fraction, ...]:
 _RAW_ENTRIES: list[CatalogEntry] = []
 
 
-def _ent(label, s, exponent, prefix, **kw):
+def _ent(label, s, exponent, prefix, formula="", **kw):
     _RAW_ENTRIES.append(CatalogEntry(
         label=label, s=rat(s), exponent=rat(exponent),
-        printed_prefix=None if prefix is None else _px(*prefix), **kw))
+        printed_prefix=None if prefix is None else _px(*prefix), formula=formula, **kw))
 
 
-_ent("B.a.f0", "-48/5", "7/20", (1, 14, 119, 770, 4088, 18676))
-_ent("B.a.f4/5", "-48/5", "23/20", (1, 14, "769/7", 642, 3103, 13078, 49616))
-_ent("B.a.f-1/2", "-48/5", "-3/20", (1, 40, 381, 2865, "115789/7", 81261, 348612))
+# A recipe carries no overall scale: every plain entry is divided by its
+# leading coefficient, and a later entry of the section (f0, f4/5, f-1/5)
+# reads the scaled one.  Constants that weigh one term against another are
+# part of the recipe and stay.
+
+_ent("B.a.f0", "-48/5", "7/20", (1, 14, 119, 770, 4088, 18676),
+     "psi2*Delta2*(11*psi1^10 - 66*psi1^5*psi2^5 - psi2^10 + H2)*eta^(-42/5)")
+_ent("B.a.f4/5", "-48/5", "23/20", (1, 14, "769/7", 642, 3103, 13078, 49616),
+     "psi1*Delta2*(-psi1^10 + 66*psi1^5*psi2^5 + 11*psi2^10 + H2)*eta^(-42/5)")
+_ent("B.a.f-1/2", "-48/5", "-3/20", (1, 40, 381, 2865, "115789/7", 81261, 348612),
+     "psi2*(-H2^2 + 192*Delta2^2 + H2*(22*psi1^10 - 132*psi1^5*psi2^5 - 2*psi2^10))"
+     "*eta^(-42/5)")
 _ent("B.a.f-7/10", "-48/5", "-7/20",
-     (1, -63, -1883, -18403, -122388, -645036, -2896215))
+     (1, -63, -1883, -18403, -122388, -645036, -2896215),
+     "psi1*(H2^2 - 192*Delta2^2 + H2*(2*psi1^10 - 132*psi1^5*psi2^5 - 22*psi2^10))"
+     "*eta^(-42/5)")
 
-_ent("B.b.f-8/15", "-38/5", "-4/15", (1, -56, -776, -5088, -24932))
-_ent("B.b.f-1/3", "-38/5", "-1/15", (1, 15, 100, "4629/8", 2635))
-_ent("B.b.f4/5", "-38/5", "16/15", (1, "28/3", "164/3", "752/3", "1955/2"))
+_ent("B.b.f-8/15", "-38/5", "-4/15", (1, -56, -776, -5088, -24932),
+     "psi1*G1(I15, Delta15, I3, I3(q^5))*eta^(-32/5)")
+_ent("B.b.f-1/3", "-38/5", "-1/15", (1, 15, 100, "4629/8", 2635),
+     "psi2*G1(I15, Delta15, -I3, -I3(q^5))*eta^(-32/5)")
+_ent("B.b.f4/5", "-38/5", "16/15", (1, "28/3", "164/3", "752/3", "1955/2"),
+     "psi1*G2(I15, Delta15, I3, I3(q^5), psi2^5)*eta^(-32/5)/Delta3^2")
 _ent("B.b.f0", "-38/5", "4/15", (1, 8, 56, 288, 1254),
+     "psi2*G3(I15, Delta15, I3, I3(q^5), psi2^5)*eta^(-32/5)/Delta3^2",
      note="two printed coefficients of the degree-5 bracket carry the wrong "
           "sign (u^3 x^2 and v x^4 terms); the corrected pair is the unique "
           "two-term repair and is stored in the polynomial table")
 
-_ent("B.c.f0", "-6/5", 0, (1,))
-_ent("B.c.f1/5", "-6/5", "1/5", (1, "1/3", "12/11", "11/16", "4/7"))
-_ent("B.c.f4/5", "-6/5", "4/5", (1, "28/27", "4/7", "80/57", "5/9"))
-_ent("B.c.aux", "-6/5", "-1/6", (1, -26, -126, -500), operator="aux3")
+_ent("B.c.f0", "-6/5", 0, (1,), "1")
+_ent("B.c.f1/5", "-6/5", "1/5", (1, "1/3", "12/11", "11/16", "4/7"),
+     "∫[psi1^4*psi2*(psi1^5 - 3*psi2^5)]")
+_ent("B.c.f4/5", "-6/5", "4/5", (1, "28/27", "4/7", "80/57", "5/9"),
+     "∫[psi1*psi2^4*(12*psi1^5 + 4*psi2^5)]")
+_ent("B.c.aux", "-6/5", "-1/6", (1, -26, -126, -500),
+     "(psi1^10 - 36*psi1^5*psi2^5 - psi2^10)*eta^(-4)", operator="aux3")
 
-_ent("B.d.f0", "-3/5", "-1/40", (1, 1, 1, 2, 3))
-_ent("B.d.f4/5", "-3/5", "31/40", (1, 1, 1, 2, 2))
-_ent("B.d.f1/4", "-3/5", "9/40", (1, 1, 2, 2, 3))
-_ent("B.d.f1/20", "-3/5", "1/40", (1, 0, 1, 1, 2, 2))
+_ent("B.d.f0", "-3/5", "-1/40", (1, 1, 1, 2, 3),
+     "(theta + theta(q^5))*eta^(-3/5)/psi1")
+_ent("B.d.f4/5", "-3/5", "31/40", (1, 1, 1, 2, 2),
+     "(theta - theta(q^5))*eta^(-3/5)/psi2")
+_ent("B.d.f1/4", "-3/5", "9/40", (1, 1, 2, 2, 3),
+     "(Delta4 + Delta4(q^5))*eta^(-3/5)/psi1")
+_ent("B.d.f1/20", "-3/5", "1/40", (1, 0, 1, 1, 2, 2),
+     "(Delta4 - Delta4(q^5))*eta^(-3/5)/psi2")
 
-_ent("B.e.f0", "2/5", "-1/15", (1, 4, 8, 20, 37))
-_ent("B.e.f4/5", "2/5", "11/15", (1, "4/3", "10/3", "20/3", "38/3"))
+_ent("B.e.f0", "2/5", "-1/15", (1, 4, 8, 20, 37),
+     "(I15 - Delta15 + I3)*eta^(-8/5)/psi1")
+_ent("B.e.f4/5", "2/5", "11/15", (1, "4/3", "10/3", "20/3", "38/3"),
+     "(-I15 + Delta15 + I3)*eta^(-8/5)/psi2")
 _ent("B.e.f1/3", "2/5", "4/15", (1, "5/2", 6, "23/2", 23),
+     "B.e.G(I15, Delta15, I3, I3(q^5))*eta^(-8/5)/psi1/Delta3^2",
      note="printed denominator omits the Delta3^2 factor (weight forces it)")
 _ent("B.e.f2/15", "2/5", "1/15", (1, 2, 7, 12, 26),
+     "B.e.G(-I15, -Delta15, I3, I3(q^5))*eta^(-8/5)/psi2/Delta3^2",
      note="printed denominator omits the Delta3^2 factor (weight forces it)")
 
-_ent("B.f.f0", "6/5", "-1/10", (1, 8, 23, 68))
-_ent("B.f.f1/5", "6/5", "1/10", (1, "9/2", 16, 38))
-_ent("B.f.f2/5", "6/5", "3/10", (1, 4, 12, 30))
-_ent("B.f.f4/5", "6/5", "7/10", (1, 2, 7, 16))
+_ent("B.f.f0", "6/5", "-1/10", (1, 8, 23, 68),
+     "psi1*(psi1^5 + 2*psi2^5)*eta^(-12/5)")
+_ent("B.f.f1/5", "6/5", "1/10", (1, "9/2", 16, 38),
+     "psi2*(2*psi1^5 - psi2^5)*eta^(-12/5)")
+_ent("B.f.f2/5", "6/5", "3/10", (1, 4, 12, 30), "psi1^4*psi2^2*eta^(-12/5)")
+_ent("B.f.f4/5", "6/5", "7/10", (1, 2, 7, 16), "psi1^2*psi2^4*eta^(-12/5)")
 
 _ent("B.g.f0", "12/5", "-3/20", (1, 18, 81, 306, 909),
+     "(8*psi2^5*(18*psi1^5 + psi2^5) + 16*(psi1(q^2)^10 + 21*psi1(q^2)^5*psi2(q^2)^5"
+     " - 2*psi2(q^2)^10) + 19*H2 + 5*H2(q^5))*eta^(-18/5)/psi1",
      note="printed H2 coefficients 5, 19 swapped to 19, 5 (recursion-forced)")
-_ent("B.g.f4/5", "12/5", "13/20", (1, "34/9", 17, 50, "428/3"))
-_ent("B.g.f1/2", "12/5", "7/20", (1, "20/3", 27, 89, "766/3"))
-_ent("B.g.f3/10", "12/5", "3/20", (1, 9, 39, 131, 387))
+_ent("B.g.f4/5", "12/5", "13/20", (1, "34/9", 17, 50, "428/3"),
+     "(-{8*psi2^5*(18*psi1^5 + psi2^5) + 16*(psi1(q^2)^10 + 21*psi1(q^2)^5*psi2(q^2)^5"
+     " - 2*psi2(q^2)^10)} + 21*H2 - 5*H2(q^5))*eta^(-18/5)/psi2")
+_ent("B.g.f1/2", "12/5", "7/20", (1, "20/3", 27, 89, "766/3"),
+     "(Delta2*(5*psi1^5 + psi2^5 + psi1(q^2)^5 - psi2(q^2)^5)"
+     " + Delta2(q^5)*(7*psi1^5 - psi2^5 - psi1(q^2)^5 - 7*psi2(q^2)^5))*eta^(-18/5)/psi1^6")
+_ent("B.g.f3/10", "12/5", "3/20", (1, 9, 39, 131, 387),
+     "(Delta2*(-psi1^5 + 5*psi2^5 + psi1(q^2)^5 + psi2(q^2)^5)"
+     " + Delta2(q^5)*(psi1^5 + 7*psi2^5 + 7*psi1(q^2)^5 - psi2(q^2)^5))*eta^(-18/5)/psi2^6")
 
-_ent("B.h.f0", "18/5", "-1/5", (1, 36, 240, 1144))
-_ent("B.h.f2/5", "18/5", "1/5", (1, 14, "461/6", 330))
-_ent("B.h.f3/5", "18/5", "2/5", (1, "39/4", 51, "417/2"))
-_ent("B.h.f4/5", "18/5", "3/5", (1, "20/3", 36, 136))
+_ent("B.h.f0", "18/5", "-1/5", (1, 36, 240, 1144),
+     "psi1^2*(psi1^10 + 24*psi1^5*psi2^5 - 6*psi2^10)*eta^(-24/5)")
+_ent("B.h.f2/5", "18/5", "1/5", (1, 14, "461/6", 330),
+     "psi2^2*(6*psi1^10 + 24*psi1^5*psi2^5 - psi2^10)*eta^(-24/5)")
+_ent("B.h.f3/5", "18/5", "2/5", (1, "39/4", 51, "417/2"),
+     "psi1^4*psi2^3*(4*psi1^5 + 3*psi2^5)*eta^(-24/5)")
+_ent("B.h.f4/5", "18/5", "3/5", (1, "20/3", 36, 136),
+     "psi1^3*psi2^4*(3*psi1^5 - 4*psi2^5)*eta^(-24/5)")
 
-_ent("B.i.f0", "22/5", "-7/30", (1, 56, 476, 2632, 11270))
-_ent("B.i.f4/5", "22/5", "17/30", (1, "28/3", "1196/21", "752/3", "2851/3"))
-_ent("B.i.f2/3", "22/5", "13/30", (1, 12, 73, 338, "9070/7"))
+_ent("B.i.f0", "22/5", "-7/30", (1, 56, 476, 2632, 11270),
+     "G4(I15, Delta15, I3, I3(q^5))*eta^(-28/5)/psi1")
+_ent("B.i.f4/5", "22/5", "17/30", (1, "28/3", "1196/21", "752/3", "2851/3"),
+     "G4(-I15, -Delta15, I3, I3(q^5))*eta^(-28/5)/psi2")
+_ent("B.i.f2/3", "22/5", "13/30", (1, 12, 73, 338, "9070/7"),
+     "G5(I15, Delta15, I3, I3(q^5), psi2^5)*eta^(-28/5)/psi1/Delta3")
 _ent("B.i.f7/15", "22/5", "7/30", (1, "35/2", 112, "1099/2", 2163),
+     "G6(I15, Delta15, I3, I3(q^5), psi2^5)*eta^(-28/5)/psi2/Delta3",
      note="printed denominator omits the eta^(28/5) factor (weight forces it)")
 
-_ent("B.j.f0", "27/5", "-11/40", (1, 99, 1122, 7425, 37191))
-_ent("B.j.f4/5", "27/5", "21/40", (1, "41/3", 98, 513, 2214))
-_ent("B.j.f3/4", "27/5", "19/40", (1, 15, "1191/11", 577, 2505))
-_ent("B.j.f11/20", "27/5", "11/40", (1, 22, "506/3", 957, 4279))
+_ent("B.j.f0", "27/5", "-11/40", (1, 99, 1122, 7425, 37191),
+     "G7(theta, theta(q^5), psi1^5, psi2^5)*eta^(-33/5)/psi1")
+_ent("B.j.f4/5", "27/5", "21/40", (1, "41/3", 98, 513, 2214),
+     "G8(theta, theta(q^5), psi1^5, psi2^5)*eta^(-33/5)/psi2")
+_ent("B.j.f3/4", "27/5", "19/40", (1, 15, "1191/11", 577, 2505),
+     "G9(theta, theta(q^5), psi1(q^4)^5, psi2(q^4)^5, Delta4^3*Delta4(q^5))"
+     "*eta^(-33/5)/psi1/Delta4")
+_ent("B.j.f11/20", "27/5", "11/40", (1, 22, "506/3", 957, 4279),
+     "G10(theta, theta(q^5), psi1(q^4)^5, psi2(q^4)^5, Delta4^3*Delta4(q^5))"
+     "*eta^(-33/5)/psi2/Delta4")
 
-_ent("B.k.f0", 6, "-3/10", (1, 144, 1926, 14160, 77499))
-_ent("B.k.f3/5", 6, "3/10", (1, "99/4", 210, "7739/6", 6195))
-_ent("B.k.f4/5", 6, "1/2", (1, "152/9", 134, 772, "10778/3"))
+_ent("B.k.f0", 6, "-3/10", (1, 144, 1926, 14160, 77499),
+     "psi1^3*(psi1^15 + 126*psi1^10*psi2^5 + 117*psi1^5*psi2^10 - 12*psi2^15)*eta^(-36/5)")
+_ent("B.k.f3/5", 6, "3/10", (1, "99/4", 210, "7739/6", 6195),
+     "psi2^3*(12*psi1^15 + 117*psi1^10*psi2^5 - 126*psi1^5*psi2^10 + psi2^15)*eta^(-36/5)")
+_ent("B.k.f4/5", 6, "1/2", (1, "152/9", 134, 772, "10778/3"),
+     "psi1^4*psi2^4*(9*psi1^10 + 26*psi1^5*psi2^5 - 9*psi2^10)*eta^(-36/5)")
 _ent("B.k.log", 6, "3/2",
      ("-2530/81", "-191600/693", "-8906965/4788", "-5783927675/632016",
       "-385857740243/9927918"),
-     operator="log")
+     "log(6, 1/2)", operator="log")
 
-_ent("B.l.f0", "32/5", "-19/60", (1, 190, 2831, 22306, 129276, 611724))
+_ent("B.l.f0", "32/5", "-19/60", (1, 190, 2831, 22306, 129276, 611724),
+     "psi1^4*(psi1^15 + 171*psi1^10*psi2^5 + 247*psi1^5*psi2^10 - 57*psi2^15)*eta^(-38/5)")
 _ent("B.l.f4/5", "32/5", "29/60",
-     (1, "58/3", "493/3", "57362/57", "14761/3", 20734))
+     (1, "58/3", "493/3", "57362/57", "14761/3", 20734),
+     "psi2^4*(57*psi1^15 + 247*psi1^10*psi2^5 - 171*psi1^5*psi2^10 + psi2^15)*eta^(-38/5)")
 _ent("B.l.f5/6", "32/5", "31/60",
-     (1, "200/11", "28647/187", "3989341/4301", "562835919/124729"))
+     (1, "200/11", "28647/187", "3989341/4301", "562835919/124729"),
+     "30*f4/5*psi1^4*psi2*(psi1^5 - 3*psi2^5)*eta^(-4) - f0*∫[f4/5*eta^(18/5)*psi2]")
 _ent("B.l.f19/30", "32/5", "19/60",
-     (1, "133/5", "13243/55", "1454051/935", "168154408/21505"))
+     (1, "133/5", "13243/55", "1454051/935", "168154408/21505"),
+     "10*f0*psi1*psi2^4*(3*psi1^5 + psi2^5)*eta^(-4)/19 - f4/5*∫[f0*eta^(18/5)*psi1]")
 
-_ent("B.m.f0", "54/5", "-1/2", (1, 36, 2490, 38360, 398715))
+_ent("B.m.f0", "54/5", "-1/2", (1, 36, 2490, 38360, 398715),
+     "B.m.P(psi1, psi2)*eta^(-12)")
 _ent("B.m.f4/5", "54/5", "3/10", (1, "212/3", 1312, 14480, "350635/3"),
+     "B.m.Q(psi1, psi2)*eta^(-12)",
      note="printed denominator '3 eta^22' read as 3 eta^12 (weight forces it)")
 _ent("B.m.f1", "54/5", "1/2",
      (1, "95/2", "25360/33", "346965/44", "666770/11"),
+     "B.m.R(psi1, psi2)*eta^(-12)",
      note="printed bracket for R is inhomogeneous (degree 35, missing the "
           "x^10 y^20 slot); the recursion forces the degree-30 bracket "
           "stored in the polynomial table")
 _ent("B.m.f6/5", "54/5", "7/10",
-     (1, "372/11", "10779/22", "51626/11", "379482/11"))
+     (1, "372/11", "10779/22", "51626/11", "379482/11"),
+     "B.m.S(psi1, psi2)*eta^(-12)")
 
 _ent("B.n.f-4/5", 18, "-4/5", (1, -216, -90984, -4550240, -107053506),
+     "G11(psi1, psi2)*eta^(-96/5)",
      note="printed denominator eta^12 read as eta^(96/5) (weight forces it)")
-_ent("B.n.f0", 18, 0, (1,))
+_ent("B.n.f0", 18, 0, (1,), "1")
 _ent("B.n.f4/5", 18, "4/5",
-     (1, "248/3", "22360/9", "837856/19", "1680020/3"))
+     (1, "248/3", "22360/9", "837856/19", "1680020/3"),
+     "G12(psi1, psi2)*eta^(-96/5)")
 _ent("B.n.f1", 18, 1,
-     (1, 63, "31596/19", "4150739/152", "181085301/551"))
+     (1, 63, "31596/19", "4150739/152", "181085301/551"),
+     "G13(psi1, psi2)*eta^(-96/5)")
 
+# B.o.f-1/5 is printed with a global minus sign, contradicting its own
+# leading coefficient +1; the unsigned form is the solution
 _ent("B.o.f-1/5", "-66/5", "-1/2",
      (1, "-315/4", -11570, "-456545/2", -2506845),
+     "B.o.P(psi1, psi2)*eta^(-12)",
      note="subsection heading prints s=66/5; the indicial roots force -66/5")
-_ent("B.o.f0", "-66/5", "-3/10", (1, 232, 4902, 57276, 490507))
+_ent("B.o.f0", "-66/5", "-3/10", (1, 232, 4902, 57276, 490507),
+     "B.o.Q(psi1, psi2)*eta^(-12)")
 _ent("B.o.f4/5", "-66/5", "1/2",
-     (1, "80/3", "1010/3", "57840/19", "414330/19"))
+     (1, "80/3", "1010/3", "57840/19", "414330/19"),
+     "B.o.R(psi1, psi2)*eta^(-12)")
 _ent("B.o.f8/5", "-66/5", "13/10",
-     (1, 24, "5458/19", "45800/19", "8847495/551"))
+     (1, 24, "5458/19", "45800/19", "8847495/551"),
+     "B.o.S(psi1, psi2)*eta^(-12)")
 
-_ent("B.p.f-1/5", -6, "-1/5", (1, -54, -395, -1836, -6950))
+_ent("B.p.f-1/5", -6, "-1/5", (1, -54, -395, -1836, -6950),
+     "psi1^2*(psi1^10 - 66*psi1^5*psi2^5 - 11*psi2^10)*eta^(-24/5)")
 _ent("B.p.f0", -6, 0, (1, "33/2", 102, "897/2", 1653),
+     "psi1*psi2*(2*psi1^10 + 11*psi1^5*psi2^5 + 4*psi2^10)*eta^(-24/5)",
      note="printed bracket omits +4psi2^10 and its expansion inherits the "
           "slip (100, 893/2, 1629); the resonant solution with a1 = 33/2 "
           "is unique and forces these coefficients")
-_ent("B.p.f1/5", -6, "1/5", (1, 4, "296/11", 110, "4344/11"))
+_ent("B.p.f1/5", -6, "1/5", (1, 4, "296/11", 110, "4344/11"),
+     "psi2^2*(11*psi1^10 - 66*psi1^5*psi2^5 - psi2^10)*eta^(-24/5)")
 _ent("B.p.f1", -6, 1, (1, "68/11", "299/11", "1102/11", "3511/11"),
+     "psi1*psi2^6*(11*psi1^5 + 2*psi2^5)*eta^(-24/5)",
      note="printed bracket sign -2psi2^5 corrected to +2 (recursion-forced; "
           "the printed expansion already matches the corrected form)")
 
-_ent("B.q.f0", "-8/5", "11/60", (1, 0, 1, 1, 1, 1))
-_ent("B.q.f-1/5", "-8/5", "-1/60", (1, 1, 1, 1, 2, 2))
+_ent("B.q.f0", "-8/5", "11/60", (1, 0, 1, 1, 1, 1), "psi2*eta^(-2/5)")
+_ent("B.q.f-1/5", "-8/5", "-1/60", (1, 1, 1, 1, 2, 2), "psi1*eta^(-2/5)")
 _ent("B.q.f-1/6", "-8/5", "1/60",
-     (1, "-2/5", "1/11", "26/85", "434/1265", "9824/27115"))
+     (1, "-2/5", "1/11", "26/85", "434/1265", "9824/27115"),
+     "30*psi1^7*psi2^3*(psi1^5 - 3*psi2^5)*(psi1^10 - 11*psi1^5*psi2^5 - psi2^10)^2*eta^(-14)"
+     " - f0*∫[psi1^5*(psi1^15 + 171*psi1^10*psi2^5 + 247*psi1^5*psi2^10 - 57*psi2^15)"
+     "*eta^(-4)]")
 _ent("B.q.f19/30", "-8/5", "49/60",
      (1, "38/33", "371/561", "22558/12903", "383219/374187", "938830/374187"),
+     "10*psi1^3*psi2^7*(3*psi1^5 + psi2^5)*(psi1^10 - 11*psi1^5*psi2^5 - psi2^10)^2*eta^(-14)"
+     " - f-1/5*∫[psi2^5*(57*psi1^15 + 247*psi1^10*psi2^5 - 171*psi1^5*psi2^10 + psi2^15)"
+     "*eta^(-4)/3]",
      note="printed second integrand starts psi1^5(57...); leading exponents "
           "force the psi2^5 companion bracket")
 
@@ -808,6 +542,18 @@ def entry(label: str) -> CatalogEntry:
 
 # -- building ----------------------------------------------------------
 
+def _recipe(section: str, k) -> dict:
+    """short label -> each entry of a section under the semantics k, every
+    entry scaled to leading coefficient 1: its formula read in order, so
+    that a later one reads the earlier, or its quasimodular pair."""
+    if section in _FITTED:
+        return {name: k.unit(f) for name, f in _FITTED[section](k).items()}
+    for e in ENTRIES.values():
+        if e.section == section:
+            k.siblings[e.label[len(section) + 1:]] = k.unit(formula.evaluate(e.formula, k))
+    return k.siblings
+
+
 @lru_cache(maxsize=None)
 def _lead_gaps(section: str) -> dict[str, Fraction]:
     """label -> exponent - base for each entry of a section: how far the
@@ -818,12 +564,12 @@ def _lead_gaps(section: str) -> dict[str, Fraction]:
     entry comes out exact to base + n + 1.  What a recipe loses is
     cancellation: where its terms cancel, as ``_qm``'s a*x + b*y does from
     min(x.base, y.base) up to the entry's exponent, the entry leads at
-    exponent > base.  The bases do not depend on n, so the recipe is run
-    once on leads (``_Leads``), which track the base alone and build no
-    coefficient."""
-    leads = _BUILDERS[section](_Leads())
-    return {f"{section}.{name}": ENTRIES[f"{section}.{name}"].exponent - lead.base
-            for name, lead in leads.items()}
+    exponent > base.  The bases do not depend on n, so the recipe is read
+    once on leads (``formula.Leads``), which track the base alone and build
+    no coefficient."""
+    leads = _recipe(section, formula.Leads(_table_base))
+    return {f"{section}.{name}": ENTRIES[f"{section}.{name}"].exponent - base
+            for name, base in leads.items()}
 
 
 def section_margin(section: str) -> int:
@@ -845,9 +591,7 @@ def section_build_order(section: str, order: int) -> int:
 
 @lru_cache(maxsize=64)
 def _build_section(section: str, n: int) -> dict:
-    built = _BUILDERS[section](_Forms(n))
-    return {name: _unit(f) if isinstance(f, PuiseuxSeries) else f
-            for name, f in built.items()}
+    return _recipe(section, formula.Series(n, evaluate_polynomial))
 
 
 def _reaching(label: str, f: SeriesLike, order: int) -> SeriesLike:

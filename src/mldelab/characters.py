@@ -312,10 +312,11 @@ def deligne_table() -> tuple[DeligneDatum, ...]:
 
 
 def datum(name: str) -> DeligneDatum:
-    for d in deligne_table():
+    table = deligne_table()
+    for d in table:
         if d.name == name:
             return d
-    raise KeyError(f"unknown series member {name!r}")
+    raise KeyError(f"unknown algebra {name!r}; known: {[d.name for d in table]}")
 
 
 # -- case wiring: lattice realization + extension basis ----------------

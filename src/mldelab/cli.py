@@ -107,7 +107,7 @@ def cmd_forms(args) -> int:
         try:
             series = forms.form(args.name, args.order)
         except KeyError as exc:
-            raise UsageError(str(exc))
+            raise UsageError(exc.args[0])
         _json({"name": args.name, "series": series.to_json_dict()})
         return EXIT_OK
     # verify
@@ -220,7 +220,7 @@ def cmd_characters(args) -> int:
     try:
         d = characters.datum(args.algebra)
     except KeyError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(exc.args[0])
     payload = {
         "algebra": d.name, "s": rat_str(d.s),
         "exponents": [rat_str(e) for e in d.ramond_exponents],
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (UsageError, catalog.UnknownLabel) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except InsufficientOrder as exc:
         print(f"insufficient order: {exc}", file=sys.stderr)

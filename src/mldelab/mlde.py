@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from typing import Optional, Sequence
 
 from . import forms as F
@@ -206,56 +206,50 @@ def divisors(n: int) -> list[int]:
     return sorted(set(out))
 
 
-def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """(roots with multiplicity, remaining polynomial) of sum c_j x^j."""
+def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[int]]:
+    """(roots with multiplicity, remaining integer polynomial) of sum c_j x^j.
+
+    Each candidate +-p/q in lowest terms, with p dividing the constant term
+    and q the leading coefficient, is tried once by the homogeneous integer
+    Horner form q^d * P(p/q), and divided out while it stays a root."""
     cs = [rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
-    if len(cs) <= 1:
-        return [], cs
-    den = 1
-    for c in cs:
-        den = lcm(den, c.denominator)
+    den = lcm(*(c.denominator for c in cs))
     ints = [int(c * den) for c in cs]
     roots: list[Fraction] = []
-    # peel off roots at 0
-    while ints[0] == 0:
+    while len(ints) > 1 and ints[0] == 0:
         roots.append(Q(0))
         ints = ints[1:]
+    if len(ints) <= 1:
+        return roots, ints
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            if gcd(p, q) == 1:
+                for x in (p, -p):
+                    while len(ints) > 1 and _homogeneous_value(ints, x, q) == 0:
+                        roots.append(Q(x, q))
+                        ints = _divide_linear(ints, x, q)
+    return roots, ints
 
-    def deflate(poly: list[int], x: Fraction) -> list[int]:
-        # synthetic division by (x - root); result rescaled to integers
-        out: list[Fraction] = []
-        acc = Q(0)
-        for c in reversed(poly):
-            acc = acc * x + c
-            out.append(acc)
-        out = out[:-1][::-1]  # drop the remainder (zero), realign
-        d = lcm(*(c.denominator for c in out))
-        return [int(c * d) for c in out]
 
-    progress = True
-    while len(ints) > 1 and progress:
-        progress = False
-        for p in divisors(ints[0]):
-            for qd in divisors(ints[-1]):
-                for sign in (1, -1):
-                    x = Q(sign * p, qd)
-                    if _poly_eval(ints, x) == 0:
-                        roots.append(x)
-                        ints = deflate(ints, x)
-                        progress = True
-                        break
-                if progress:
-                    break
-            if progress:
-                break
-        if ints[0] == 0 and len(ints) > 1:
-            roots.append(Q(0))
-            ints = ints[1:]
-            progress = True
-    remainder = [Q(c) for c in ints]
-    return roots, remainder
+def _homogeneous_value(ints: Sequence[int], p: int, q: int) -> int:
+    """q^d * P(p/q) for P = sum ints[j] x^j of degree d."""
+    acc, qk = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _divide_linear(ints: Sequence[int], p: int, q: int) -> list[int]:
+    """P / (q x - p) for a root p/q of P, whose quotient has integer
+    coefficients (Gauss's lemma)."""
+    out, r = [], 0
+    for c in reversed(ints[1:]):
+        r = (c + p * r) // q
+        out.append(r)
+    return out[::-1]
 
 
 @dataclass(frozen=True)

@@ -7,21 +7,10 @@ groups e, f and g (levels 10, 15 and 20) mix q with q^2, q^4 or q^5
 arguments.
 
 A relation is checked as printed: :func:`evaluate` reads both sides of its
-``formula`` by recursive descent over this grammar::
-
-    sum     := product (('+' | '-') product)*
-    product := signed ('*' signed)*
-    signed  := '-' signed | atom ('^' INT)*
-    atom    := (INT | NAME ['(' 'q' '^' INT ')'] | 'D' '[' sum ']'
-                | '(' sum ')' | '{' sum '}') "'"*
-
-NAME is one of the ten forms of ``forms.FORM_TABLE`` or E2, E4, E6, each
-built to the verification order: a form is exact order + 1 steps past a
+``formula`` with the shared reader of :mod:`mldelab.formula`, every form
+built to the verification order.  A form is exact order + 1 steps past a
 base of q^0 or above, and no operation of the grammar shortens that, so
 each side is exact below q^(order + 1), past the window its verdict reads.
-``NAME(q^m)`` substitutes q -> q^m, and a postfix ``'`` or ``D[...]``
-applies the Euler derivative D = q d/dq.
-Anything else raises a ValueError that names the offending token.
 
 A few printed sources of these identities contain transcription errors.
 Where the intended reading is forced by weight bookkeeping or by a unique
@@ -34,108 +23,16 @@ its ``evaluated_rhs`` is the printed right-hand side without that term.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
-from . import forms as F
+from . import formula
 from .series import PuiseuxSeries, Q, rat_str
-
-_TOKEN = re.compile(r"\d+|[A-Za-z]\w*|\S")
-
-_FORMS = {name: builder for name, (builder, _, _) in F.FORM_TABLE.items()}
-_FORMS.update(E2=F.eisenstein_e2, E4=F.eisenstein_e4, E6=F.eisenstein_e6)
-
-
-class _Reader:
-    """The recursive descent over the tokens of one expression."""
-
-    def __init__(self, text: str, order: int):
-        self.text, self.order, self.pos = text, order, 0
-        self.tokens = _TOKEN.findall(text)
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def error(self, expected: str) -> ValueError:
-        found = "the end" if self.peek() is None else repr(self.peek())
-        return ValueError(f"expected {expected}, found {found} in {self.text!r}")
-
-    def take(self, want: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok is None or want not in (None, tok):
-            raise self.error(repr(want) if want else "a term")
-        self.pos += 1
-        return tok
-
-    def integer(self) -> int:
-        if not (self.peek() or "").isdigit():
-            raise self.error("an integer exponent")
-        return int(self.take())
-
-    def sum(self) -> int | PuiseuxSeries:
-        value = self.product()
-        while self.peek() in ("+", "-"):
-            # the operator is taken before the right operand is read
-            value = value + self.product() if self.take() == "+" else value - self.product()
-        return value
-
-    def product(self) -> int | PuiseuxSeries:
-        value = self.signed()
-        while self.peek() == "*":
-            self.take()
-            value = value * self.signed()
-        return value
-
-    def signed(self) -> int | PuiseuxSeries:
-        if self.peek() == "-":
-            self.take()
-            return -self.signed()
-        value = self.atom()
-        while self.peek() == "^":
-            self.take()
-            value = value ** self.integer()
-        return value
-
-    def atom(self) -> int | PuiseuxSeries:
-        tok = self.take()
-        if tok.isdigit():
-            value = int(tok)
-        elif tok in ("(", "{"):
-            value = self.sum()
-            self.take(")" if tok == "(" else "}")
-        elif tok == "D" and self.peek() == "[":
-            self.take()
-            value = self.derivative(self.sum())
-            self.take("]")
-        elif tok in _FORMS:
-            value = _FORMS[tok](self.order)
-            if self.peek() == "(":
-                for want in ("(", "q", "^"):
-                    self.take(want)
-                value = value.substitute_power(self.integer())
-                self.take(")")
-        else:
-            kind = "unknown name" if tok[0].isalpha() else "unexpected"
-            raise ValueError(f"{kind} {tok!r} in {self.text!r}")
-        while self.peek() == "'":
-            self.take()
-            value = self.derivative(value)
-        return value
-
-    def derivative(self, value: int | PuiseuxSeries) -> PuiseuxSeries:
-        if not isinstance(value, PuiseuxSeries):
-            raise ValueError(f"derivative of the constant {value} in {self.text!r}")
-        return value.euler_derivative()
 
 
 def evaluate(expression: str, order: int) -> int | PuiseuxSeries:
     """The value of one side of a relation, its forms built to order."""
-    reader = _Reader(expression, order)
-    value = reader.sum()
-    if reader.peek() is not None:
-        raise reader.error("the end")
-    return value
+    return formula.evaluate(expression, formula.Series(order))
 
 
 @dataclass(frozen=True)
@@ -227,7 +124,8 @@ def verify_relation(r: RelationRecord, order: int) -> dict:
     if len(sides) != 2:
         raise ValueError(f"formula {r.formula!r} needs exactly one '='")
     lhs_text, rhs_text = sides
-    lhs, rhs = evaluate(lhs_text, order), evaluate(r.evaluated_rhs or rhs_text, order)
+    k = formula.Series(order)  # both sides share their powers
+    lhs, rhs = (formula.evaluate(text, k) for text in (lhs_text, r.evaluated_rhs or rhs_text))
     bad = (lhs - rhs).first_nonzero(order + Q(1, 2))
     report = {"label": r.label, "formula": r.formula, "order": order}
     if r.note:

@@ -18,6 +18,10 @@ def test_entry_inventory():
     assert len(sections) == 23
 
 
+#: the 23 sections, in catalog order
+SECTIONS = list(dict.fromkeys(e.section for e in catalog.ENTRIES.values()))
+
+
 def test_unknown_label():
     with pytest.raises(catalog.UnknownLabel):
         catalog.entry("B.z.f0")
@@ -53,17 +57,40 @@ def test_verify_all_at_low_orders(order):
 
 
 def test_section_margins_are_derived():
-    margins = {section: catalog.section_margin(section) for section in catalog._BUILDERS}
+    margins = {section: catalog.section_margin(section) for section in SECTIONS}
     assert {s: m for s, m in margins.items() if s.startswith("C.")} == {
         "C.a": 6, "C.b": 4, "C.c": 3, "C.d": 2, "C.e": 1, "C.f": 1}
     assert all(0 <= m <= 2 for s, m in margins.items() if s.startswith("B."))
+
+
+@pytest.mark.parametrize("order", [0, 8])
+def test_lead_semantics_gives_each_base(order):
+    """The formulas read on leads give every entry the base exponent it is
+    built with: its exponent less its lead gap."""
+    for section in SECTIONS:
+        built = catalog._build_section(section, catalog.section_build_order(section, order))
+        gaps = catalog._lead_gaps(section)
+        assert sorted(built) == sorted(label[len(section) + 1:] for label in gaps)
+        for name, f in built.items():
+            label = f"{section}.{name}"
+            assert f.base == catalog.entry(label).exponent - gaps[label], label
+
+
+def test_fit_steps_are_tight(monkeypatch):
+    """One step fewer, the quasimodular fit finds no residual below its cut
+    in any C section; at _FIT_STEPS every C entry verifies."""
+    assert catalog._FIT_STEPS == 2
+    monkeypatch.setattr(catalog, "_FIT_STEPS", 1)
+    for section in (s for s in SECTIONS if s.startswith("C.")):
+        with pytest.raises(ValueError):
+            catalog._build_section.__wrapped__(section, catalog.section_build_order(section, 8))
 
 
 @pytest.mark.parametrize("order", [8, 40])
 def test_section_margins_are_tight(order):
     """One step below its margin, every section falls short of the order
     for at least one entry, and says so."""
-    for section in catalog._BUILDERS:
+    for section in SECTIONS:
         n = catalog.section_build_order(section, order) - 1
         reach = n + 1 - catalog.section_margin(section)
         short = 0

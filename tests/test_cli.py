@@ -178,6 +178,18 @@ def test_usage_errors(capsys):
                      "--depth", str(cli.MAX_ORDER + 1)]) == cli.EXIT_USAGE
     assert cli.main(["forms", "dump", "--name", "psi1", "--order", "x"]) == cli.EXIT_USAGE
     capsys.readouterr()
+    # an unknown name is printed as its message, not as a quoted repr
+    for argv, message in [
+        (["characters", "--algebra", "Z9"],
+         "unknown algebra 'Z9'; known: ['A1', 'A2', 'G2', 'D4', 'F4', 'E6', 'E7', 'E8', "
+         "'formal24', 'formal3/2']"),
+        (["forms", "dump", "--name", "nope"],
+         "unknown form 'nope'; known: ['Delta15', 'Delta2', 'Delta3', 'Delta4', 'H2', "
+         "'I15', 'I3', 'psi1', 'psi2', 'theta']"),
+        (["catalog", "build", "--label", "nope"], "unknown catalog label 'nope'"),
+    ]:
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("s", ["1e100000", "1e-101", "1" * 101])

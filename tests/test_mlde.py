@@ -6,6 +6,7 @@ from mldelab import forms as F
 from mldelab.catalog import catalogued_parameters
 from mldelab.classify import CASES, enumerate_case
 from mldelab.mlde import (SHARP_FACTORIZATIONS, InconsistentResonance,
+                          _rational_roots,
                           MLDEOperator, NoLogNeeded, NotIndicialRoot,
                           Resonance, alphas, build_custom,
                           build_flat, build_sharp, divisors, factored_apply,
@@ -51,6 +52,28 @@ def test_closed_form_roots_factor_the_indicial_polynomial():
         for r in flat_indicial_roots(s):
             prod = [a - r * b for a, b in zip([Q(0)] + prod, prod + [Q(0)])]
         assert tuple(prod) == build_flat(s, 0).indicial_coefficients(), s
+
+
+@pytest.mark.parametrize("p", list(range(-300, 301, 7)) + [-209, -149, 137, 223, 247, 293])
+def test_generic_roots_match_the_closed_form(p):
+    # the candidate search finds every closed-form root with multiplicity
+    # at s = p/5 (the listed extra p were the slowest before one pass)
+    s = Q(p, 5)
+    roots, rest = _rational_roots(build_flat(s, 0).indicial_coefficients())
+    assert sorted(roots) == sorted(flat_indicial_roots(s))
+    assert len(rest) == 1
+
+
+def test_generic_roots_keep_an_irreducible_factor():
+    # x^2 (x^2 + 1) (3x - 2)^2 (x + 5): a double root at 0, an irreducible
+    # quadratic that stays behind, and a double non-integer root
+    poly = [Q(1)]
+    for factor in ([0, 1], [0, 1], [1, 0, 1], [-2, 3], [-2, 3], [5, 1]):
+        poly = [sum(poly[i] * factor[j - i] for i in range(len(poly)) if 0 <= j - i < len(factor))
+                for j in range(len(poly) + len(factor) - 1)]
+    roots, rest = _rational_roots(poly)
+    assert sorted(roots) == [-5, 0, 0, Q(2, 3), Q(2, 3)]
+    assert rest == [1, 0, 1]
 
 
 def test_divisors_match_a_scan():

@@ -1,8 +1,10 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from mldelab import relations
+from mldelab.series import PuiseuxSeries
 
 
 def test_catalog_shape():
@@ -52,6 +54,11 @@ def test_evaluator_reads_substitution_and_derivative():
     assert relations.evaluate("E2(q^3)", 10).coefficient(3) == e2.coefficient(1)
     assert relations.evaluate("E2'", 10).coefficient(2) == 2 * e2.coefficient(2)
     assert relations.evaluate("D[E2(q^2)]", 10).coefficient(4) == 4 * e2.coefficient(2)
+    one = PuiseuxSeries.one(10)
+    assert relations.evaluate("E4/E4", 10) == relations.evaluate("psi1^(-1)*psi1", 10) == one
+    assert relations.evaluate("(eta^(24/5))^5", 10) == relations.evaluate("eta^24", 10)
+    assert relations.evaluate("∫[D[E4]] + 1", 10) == relations.evaluate("E4", 10)
+    assert relations.evaluate("E4/2", 10) == relations.evaluate("E4", 10).scale(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("formula, token", [
@@ -62,6 +69,11 @@ def test_evaluator_reads_substitution_and_derivative():
     ("E4 = H2^2 + 192*Delta2(1)^2", "'1'"),
     ("E4", "'E4'"),
     ("E4 = E4 = E4", "'E4 = E4 = E4'"),
+    ("E4 = G1(H2, H2)", "'G1'"),
+    ("E4 = H2^(2/)", r"'\)'"),
+    ("E4 = H2^(1/0)", "zero denominator in ' H2\\^\\(1/0\\)'"),
+    ("E4 = log(6, x)", "'x'"),
+    ("E4 = D[6]", "constant 6 in ' D\\[6\\]'"),
 ])
 def test_malformed_formula_names_its_token(formula, token):
     with pytest.raises(ValueError, match=token):
