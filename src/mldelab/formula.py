@@ -83,8 +83,8 @@ class Series:
             return x.pow(r)
         built = self._powers.setdefault(key, {1: x})
         if r not in built:
-            j = next((j for j in sorted(built, reverse=True)
-                      if type(r) is int and 2 * j >= r > j and r - j in built), None)
+            j = max((j for j in built if type(r) is int and r > j >= r - j and r - j in built),
+                    default=None)
             built[r] = x.pow(r) if j is None else built[j] * built[r - j]
         return built[r]
 

@@ -78,7 +78,8 @@ def test_lead_semantics_gives_each_base(order):
 
 def test_fit_steps_are_tight(monkeypatch):
     """One step fewer, the quasimodular fit finds no residual below its cut
-    in any C section; at _FIT_STEPS every C entry verifies."""
+    in any C section (at _FIT_STEPS every C entry verifies, as
+    test_verify_all_at_low_orders shows)."""
     assert catalog._FIT_STEPS == 2
     monkeypatch.setattr(catalog, "_FIT_STEPS", 1)
     for section in (s for s in SECTIONS if s.startswith("C.")):
