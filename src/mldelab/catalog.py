@@ -3,11 +3,13 @@
 Each entry is a recipe over the named forms (eta, theta, Rogers-Ramanujan
 functions, the level 2-15 quotients) and the polynomial tables shipped in
 ``data/polynomials.json``.  An entry of sections B.a-B.q stores its recipe
-as the printed formula, read by :mod:`mldelab.formula`; the quasimodular
-pairs of C.a-C.f are code.  ``build_entry`` evaluates a recipe to an exact
-series; ``verify_entry`` checks the stored printed prefix and then applies
-the entry's designated annihilating operator, and reports a failure with
-its first bad exponent and residual instead of raising.
+as the printed formula, read by :mod:`mldelab.formula`; an F entry of
+C.a-C.f stores its quasimodular row (P, Q, the eta power and the variable
+order), which also yields its log companion G.  ``build_entry`` evaluates
+a recipe to an exact series; ``verify_entry`` checks the stored printed
+prefix and then applies the entry's designated annihilating operator, and
+reports a failure with its first bad exponent and residual instead of
+raising.
 
 No recipe carries a normalising constant.  Every plain entry is scaled to
 leading coefficient 1, as a solution of CFT type is, and each quasimodular
@@ -24,17 +26,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
 from math import ceil, floor, gcd
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import formula
 from . import forms as F
 from .mlde import (MLDEOperator, build_custom, build_flat, flat_indicial_roots,
                    frobenius_solve, frobenius_solve_log, modular_wronskian)
 from .series import (InsufficientOrder, LogSeries, PuiseuxSeries, Q, QLike,
-                     SeriesLike, rat, rat_str)
+                     SeriesLike, rat, report_failure)
 
 
 class UnknownLabel(KeyError):
@@ -162,9 +164,10 @@ def _table_base(name: str, bases: Sequence[Fraction]) -> Fraction:
 # (psi1, psi2) or (psi2, -psi1); the depth-1 structure gives the log
 # companion G = ell*F + 12*A with 12*A = a*(deg P/5) * P(u,v) / eta^m.
 # The operator fixes a : b and the leading coefficient 1 fixes the scale,
-# so neither constant is stored: ``_fit`` derives both.  These recipes are
-# code, not formulas, and read their forms and tables through the
-# semantics k (a formula.Series, or formula.Leads for the margin).
+# so neither constant is stored: ``_fit`` derives both.  Each F entry
+# stores its row (P, Q, m, whether (u,v) is (psi2, -psi1)); a table name
+# "u" is the first variable itself, of degree 1.  A row is read through
+# the semantics k (a formula.Series, or formula.Leads for the margin).
 
 #: whole steps past their base at which the fit cuts its two terms
 _FIT_STEPS = 2
@@ -197,59 +200,20 @@ def _qm(s: Fraction, m: Fraction, p, q, degree: int, k):
     return f, LogSeries(twelve_a, f.truncate(twelve_a.truncation))
 
 
-def _section_parameter(section: str) -> Fraction:
-    return ENTRIES[f"{section}.f0"].s
-
-
-#: section -> (P table, Q table, eta power m, the entry at (psi2, -psi1));
-#: the entries' notes record the printed slips these rows absorb
-_QUASIMODULAR: dict[str, tuple[str, str, Fraction, str]] = {
-    "C.a": ("F1", "F2", Q(312, 5), "f4/5"),
-    "C.b": ("F3", "F4", Q(192, 5), "f0"),
-    "C.c": ("C.c.P", "C.c.Q", Q(132, 5), "f0"),
-    "C.d": ("C.d.P", "C.d.Q", Q(72, 5), "f4/5"),
-}
-
-
-def _bld_C(section: str, k) -> dict:
-    pname, qname, m, swapped = _QUASIMODULAR[section]
-    s = _section_parameter(section)
+def _pair(e: CatalogEntry, k):
+    """(F, G) for an entry's quasimodular row; P and Q that name the same
+    table are evaluated once."""
+    pname, qname, m, swapped = e.quasimodular
     p1, p2 = k.form("psi1"), k.form("psi2")
-    out = {}
-    for name in ("f0", "f4/5"):
-        u, v = (p2, k.neg(p1)) if name == swapped else (p1, p2)
-        out[name], out["g" + name[1:]] = _qm(
-            s, m, k.table(pname, (u, v)), k.table(qname, (u, v)),
-            polynomial(pname)["degree"], k)
-    return out
+    u, v = (p2, k.neg(p1)) if swapped else (p1, p2)
 
+    def value(name: str):
+        return u if name == "u" else k.table(name, (u, v))
 
-def _bld_C_e(k):
-    # P = Q = v, of degree 1; the fit finds b = 0
-    s, p1, p2 = _section_parameter("C.e"), k.form("psi1"), k.form("psi2")
-    f0, g0 = _qm(s, Q(12, 5), p2, p2, 1, k)
-    f45, g45 = _qm(s, Q(12, 5), k.neg(p1), k.neg(p1), 1, k)
-    return {"f0": f0, "f4/5": f45, "g0": g0, "g4/5": g45}
-
-
-def _bld_C_f(k):
-    # P = Q, and the fit finds b = 0; f0's a = 5/228 is printed with 28
-    s, p1, p2 = _section_parameter("C.f"), k.form("psi1"), k.form("psi2")
-    out = {}
-    for name, table in (("f0", "psi-bracket-2"), ("f1/5", "psi-bracket-1")):
-        pv = k.table(table, (p1, p2))
-        out[name], out["g" + name[1:]] = _qm(
-            s, Q(48, 5), pv, pv, polynomial(table)["degree"], k)
-    return out
-
-
-_FITTED: dict[str, Callable[[object], dict]] = {
-    "C.e": _bld_C_e, "C.f": _bld_C_f,
-    **{section: partial(_bld_C, section) for section in _QUASIMODULAR},
-}
-
-#: subsections whose recipes substitute q^4 or q^5 into a form (costlier)
-_SUBSTITUTING = {"B.b", "B.d", "B.e", "B.g", "B.i", "B.j"}
+    p = value(pname)
+    q = p if qname == pname else value(qname)
+    degree = 1 if pname == "u" else polynomial(pname)["degree"]
+    return _qm(e.s, m, p, q, degree, k)
 
 
 # -- entry metadata ----------------------------------------------------
@@ -261,8 +225,11 @@ class CatalogEntry:
     exponent: Fraction
     printed_prefix: Optional[tuple[Fraction, ...]]
     #: the recipe as printed (with its slips corrected), read by
-    #: ``formula.evaluate``; empty for a quasimodular pair (``_FITTED``)
+    #: ``formula.evaluate``; empty for a quasimodular pair
     formula: str = ""
+    #: a quasimodular F entry's row (P, Q, eta power m, read at
+    #: (psi2, -psi1)), read by ``_pair``
+    quasimodular: Optional[tuple[str, str, Fraction, bool]] = None
     operator: str = "flat"      # flat | aux3 | log
     note: str = ""
 
@@ -486,43 +453,57 @@ _ent("B.q.f19/30", "-8/5", "49/60",
           "force the psi2^5 companion bracket")
 
 _ent("C.a.f0", "-318/5", "13/5", (1, 260, 30056, 2119676, 104823121),
+     quasimodular=("F1", "F2", Q(312, 5), False),
      note="printed first term (constant 50841895104, eta^(192/5)) repeats "
           "the neighbouring family; refitted constant over eta^(312/5)")
 _ent("C.a.f4/5", "-318/5", "17/5", (1, 236, 25306, 1680916, 79143742),
+     quasimodular=("F1", "F2", Q(312, 5), True),
      note="printed constants give leading coefficient -1; negated pair fits")
 _ent("C.a.g0", "-318/5", "13/5", None, operator="log")
 _ent("C.a.g4/5", "-318/5", "17/5", None, operator="log")
 
 _ent("C.b.f0", "-198/5", "8/5", (1, 144, 8880, 331840, 8770284),
+     quasimodular=("F3", "F4", Q(192, 5), True),
      note="printed f0 and f4/5 formulas are exchanged (exponent classes "
           "and exact fit force the swap)")
 _ent("C.b.f4/5", "-198/5", "12/5", (1, "380/3", 7164, 251344, "18958205/3"),
+     quasimodular=("F3", "F4", Q(192, 5), False),
      note="printed f0 and f4/5 formulas are exchanged")
 _ent("C.b.g0", "-198/5", "8/5", None, operator="log")
 _ent("C.b.g4/5", "-198/5", "12/5", None, operator="log")
 
 _ent("C.c.f0", "-138/5", "11/10", (1, 88, 3256, 74360, 1232814),
+     quasimodular=("C.c.P", "C.c.Q", Q(132, 5), True),
      note="printed f0 and f4/5 formulas are exchanged (exponent classes "
           "and exact fit force the swap)")
 _ent("C.c.f4/5", "-138/5", "19/10", (1, 76, 2584, 55568, 876329),
+     quasimodular=("C.c.P", "C.c.Q", Q(132, 5), False),
      note="printed f0 and f4/5 formulas are exchanged")
 _ent("C.c.g0", "-138/5", "11/10", None, operator="log")
 _ent("C.c.g4/5", "-138/5", "19/10", None, operator="log")
 
-_ent("C.d.f0", "-78/5", "3/5", (1, 36, 576, 6312, 53739))
+_ent("C.d.f0", "-78/5", "3/5", (1, 36, 576, 6312, 53739),
+     quasimodular=("C.d.P", "C.d.Q", Q(72, 5), False))
 _ent("C.d.f4/5", "-78/5", "7/5", (1, "284/9", 476, 4888, "117116/3"),
+     quasimodular=("C.d.P", "C.d.Q", Q(72, 5), True),
      note="printed formula lacks the derivative on P (weight forces it)")
 _ent("C.d.g0", "-78/5", "3/5", None, operator="log")
 _ent("C.d.g4/5", "-78/5", "7/5", None, operator="log")
 
-_ent("C.e.f0", "-18/5", "1/10", (1, 0, 6, 16, 36, 72))
-_ent("C.e.f4/5", "-18/5", "9/10", (1, "8/3", 6, 16, "101/3", 72))
+# P = Q = u, of degree 1; the fit finds b = 0
+_ent("C.e.f0", "-18/5", "1/10", (1, 0, 6, 16, 36, 72),
+     quasimodular=("u", "u", Q(12, 5), True))
+_ent("C.e.f4/5", "-18/5", "9/10", (1, "8/3", 6, 16, "101/3", 72),
+     quasimodular=("u", "u", Q(12, 5), False))
 _ent("C.e.g0", "-18/5", "1/10", None, operator="log")
 _ent("C.e.g4/5", "-18/5", "9/10", None, operator="log")
 
+# P = Q, and the fit finds b = 0
 _ent("C.f.f0", "42/5", "2/5", (1, 36, 436, 3536, 21912, 113760),
+     quasimodular=("psi-bracket-2", "psi-bracket-2", Q(48, 5), False),
      note="printed constant 28 makes the leading coefficient 57/7; 228 forced")
-_ent("C.f.f1/5", "42/5", "3/5", (1, 25, 276, "8379/4", 12481, 62859))
+_ent("C.f.f1/5", "42/5", "3/5", (1, 25, 276, "8379/4", 12481, 62859),
+     quasimodular=("psi-bracket-1", "psi-bracket-1", Q(48, 5), False))
 _ent("C.f.g0", "42/5", "2/5", None, operator="log")
 _ent("C.f.g1/5", "42/5", "3/5", None, operator="log")
 
@@ -544,13 +525,18 @@ def entry(label: str) -> CatalogEntry:
 
 def _recipe(section: str, k) -> dict:
     """short label -> each entry of a section under the semantics k, every
-    entry scaled to leading coefficient 1: its formula read in order, so
-    that a later one reads the earlier, or its quasimodular pair."""
-    if section in _FITTED:
-        return {name: k.unit(f) for name, f in _FITTED[section](k).items()}
+    entry scaled to leading coefficient 1, read in order so that a later
+    formula reads the earlier: a formula by ``formula.evaluate``, and a
+    quasimodular row by ``_pair``, which also gives the G companion (the
+    entry that holds neither)."""
     for e in ENTRIES.values():
-        if e.section == section:
-            k.siblings[e.label[len(section) + 1:]] = k.unit(formula.evaluate(e.formula, k))
+        if e.section != section:
+            continue
+        name = e.label[len(section) + 1:]
+        if e.formula:
+            k.siblings[name] = k.unit(formula.evaluate(e.formula, k))
+        elif e.quasimodular:
+            k.siblings[name], k.siblings["g" + name[1:]] = _pair(e, k)
     return k.siblings
 
 
@@ -631,7 +617,11 @@ def designated_operator(label: str, order: int) -> MLDEOperator:
 # -- verification ------------------------------------------------------
 
 def default_verification_order(label: str) -> int:
-    return 25 if entry(label).section in _SUBSTITUTING else 40
+    """25 in a section whose formulas substitute q^m into a form (costlier),
+    else 40."""
+    section = entry(label).section
+    return 25 if any("(q^" in e.formula for e in ENTRIES.values()
+                     if e.section == section) else 40
 
 
 def verify_entry(label: str, order: Optional[int] = None) -> dict:
@@ -650,19 +640,14 @@ def verify_entry(label: str, order: Optional[int] = None) -> dict:
         bad = (probe - printed).first_nonzero(e.exponent + len(e.printed_prefix))
         if bad is not None:
             got = probe.coefficient(bad[0])
-            return _failed(report, bad, PrefixMismatch(label, bad[0], got, got - bad[1]))
+            return report_failure(
+                report, bad, str(PrefixMismatch(label, bad[0], got, got - bad[1])))
         report["prefix"] = f"{len(e.printed_prefix)} printed coefficients match"
     op = designated_operator(label, order + section_margin(e.section))
     bad = op.apply(f).first_nonzero(e.exponent + order + Q(1, 2))
     if bad is not None:
-        return _failed(report, bad, NotAnnihilated(label, *bad))
+        return report_failure(report, bad, str(NotAnnihilated(label, *bad)))
     report["status"] = "verified"
-    return report
-
-
-def _failed(report: dict, bad: tuple[Fraction, Fraction], exc: ArithmeticError) -> dict:
-    report.update(status="failed", detail=str(exc),
-                  first_bad_exponent=rat_str(bad[0]), residual=rat_str(bad[1]))
     return report
 
 

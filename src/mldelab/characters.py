@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from . import forms as F
 from .mlde import (build_flat, build_sharp, flat_indicial_roots,
                    frobenius_solve, mu)
-from .series import PuiseuxSeries, Q, QLike, rat, rat_str
+from .series import PuiseuxSeries, Q, QLike, rat, report_failure
 
 
 class UnknownWeight(KeyError):
@@ -434,14 +434,14 @@ def verify_case(name: str, order: int = 25) -> dict:
         report["cft_type"] = cft
         if not cft:
             r, bad = failing[0]
-            return _failed(report, f"solution at {r} has non-counting coefficients", bad)
+            return report_failure(report, bad, f"solution at {r} has non-counting coefficients")
         report["status"] = "verified" if ok else "failed"
         return report
     chars = ramond_character_basis(name, order)
     exps = sorted(e for e, _ in chars)
     report["exponents"] = [str(e) for e in exps]
     if exps != list(d.ramond_exponents) or not set(exps) <= set(roots):
-        return _failed(report, f"exponents {exps} != tabulated {d.ramond_exponents}")
+        return report_failure(report, detail=f"exponents {exps} != tabulated {d.ramond_exponents}")
     if name != "A1":
         # the lattice-module conformal weights must match the tabulated list
         gram, cosets, _ = _case_data(name)
@@ -450,7 +450,7 @@ def verify_case(name: str, order: int = 25) -> dict:
             th = lattice_theta(lattice(gram, c), 3)
             weights.append(th.leading()[0])
         if weights != _COSET_WEIGHTS[name]:
-            return _failed(report, f"coset weights {weights} != printed")
+            return report_failure(report, detail=f"coset weights {weights} != printed")
     op = build_flat(d.s, order)
     ops = [("flat", op)]
     if name == "E8":
@@ -461,21 +461,13 @@ def verify_case(name: str, order: int = 25) -> dict:
         for tag, o in ops:
             bad = o.apply(chi).first_nonzero(window)
             if bad is not None:
-                return _failed(report, f"character at {e} not annihilated ({tag})", bad)
+                return report_failure(report, bad, f"character at {e} not annihilated ({tag})")
         f = frobenius_solve(op, e, order)
         bad = (chi.scale(1 / lead) - f).first_nonzero(window)
         if bad is not None:
-            return _failed(report, f"character at {e} differs from series solution", bad)
+            return report_failure(report, bad, f"character at {e} differs from series solution")
         bad = chi.first_non_counting(window)
         if bad is not None:
-            return _failed(report, f"character at {e} has non-counting coefficients", bad)
+            return report_failure(report, bad, f"character at {e} has non-counting coefficients")
     report["status"] = "verified"
-    return report
-
-
-def _failed(report: dict, detail: str,
-            bad: Optional[tuple[Fraction, Fraction]] = None) -> dict:
-    report.update(status="failed", detail=detail)
-    if bad is not None:
-        report.update(first_bad_exponent=rat_str(bad[0]), residual=rat_str(bad[1]))
     return report

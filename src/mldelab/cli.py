@@ -96,6 +96,15 @@ def _emit(payload, fmt: str, table_lines) -> None:
         _json(payload)
 
 
+def _verdicts(reports: list[dict], fmt: str) -> int:
+    """Emit verify reports with the count of failed ones, or one
+    `label: status` line each; exit 2 if any failed."""
+    bad = [r for r in reports if r["status"] == "failed"]
+    _emit({"reports": reports, "failed": len(bad)}, fmt,
+          [f"{r['label']}: {r['status']}" for r in reports])
+    return EXIT_VERIFY if bad else EXIT_OK
+
+
 def _set_notation(values) -> str:
     return "{" + ", ".join(rat_str(v) for v in sorted(values)) + "}"
 
@@ -112,11 +121,8 @@ def cmd_forms(args) -> int:
         return EXIT_OK
     # verify
     groups = [args.group] if args.group else relations.GROUP_ORDERS
-    reports = [rep for g in groups for rep in relations.verify_group(g, args.order)]
-    bad = [r for r in reports if r["status"] == "failed"]
-    lines = [f"{r['label']}: {r['status']}" for r in reports]
-    _emit({"reports": reports, "failed": len(bad)}, args.format, lines)
-    return EXIT_VERIFY if bad else EXIT_OK
+    return _verdicts([rep for g in groups for rep in relations.verify_group(g, args.order)],
+                     args.format)
 
 
 def cmd_indicial(args) -> int:
@@ -210,10 +216,7 @@ def cmd_catalog(args) -> int:
         reports = [catalog.verify_entry(lb, args.order) for lb in labels]
     else:
         reports = catalog.verify_all(args.order)
-    bad = [r for r in reports if r["status"] == "failed"]
-    lines = [f"{r['label']}: {r['status']}" for r in reports]
-    _emit({"reports": reports, "failed": len(bad)}, args.format, lines)
-    return EXIT_VERIFY if bad else EXIT_OK
+    return _verdicts(reports, args.format)
 
 
 def cmd_characters(args) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import formula
-from .series import PuiseuxSeries, Q, rat_str
+from .series import PuiseuxSeries, Q, report_failure
 
 
 def evaluate(expression: str, order: int) -> int | PuiseuxSeries:
@@ -133,10 +133,7 @@ def verify_relation(r: RelationRecord, order: int) -> dict:
     if bad is None:
         report["status"] = "quarantined-but-holds" if r.quarantined else "verified"
     else:
-        e, residual = bad
-        report["status"] = "quarantined" if r.quarantined else "failed"
-        report["first_bad_exponent"] = rat_str(e)
-        report["residual"] = rat_str(residual)
+        report_failure(report, bad, status="quarantined" if r.quarantined else "failed")
     return report
 
 

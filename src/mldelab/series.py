@@ -88,6 +88,19 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def report_failure(report: dict, bad: Optional[tuple[Fraction, Fraction]] = None,
+                   detail: Optional[str] = None, status: str = "failed") -> dict:
+    """The check report, marked with `status`, its `detail` line if given,
+    and, for a series check, the first bad exponent and residual of `bad`
+    (the pair ``first_nonzero`` or ``first_non_counting`` returned)."""
+    report["status"] = status
+    if detail is not None:
+        report["detail"] = detail
+    if bad is not None:
+        report.update(first_bad_exponent=rat_str(bad[0]), residual=rat_str(bad[1]))
+    return report
+
+
 def _ratio_str(num: int, den: int) -> str:
     """rat_str of num/den (den > 0), without building the Fraction."""
     g = gcd(num, den)
