@@ -27,13 +27,15 @@ is a usage error.
 
 Exit codes: 0 success, 2 verification failure (a failing relation, catalog
 entry or character check) or no such solution, 3 usage error,
-4 insufficient order.
+4 insufficient order, 141 standard output closed before the command
+finished writing (a reader such as ``head`` that exits early).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -49,6 +51,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_USAGE = 3
 EXIT_ORDER = 4
+#: the status a shell reports for a writer that SIGPIPE ended
+EXIT_PIPE = 141
 
 #: the most characters a rational argument may have
 RAT_ARG_CHARS = 100
@@ -368,13 +372,21 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
     except (UsageError, catalog.UnknownLabel) as exc:
         print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except InsufficientOrder as exc:
         print(f"insufficient order: {exc}", file=sys.stderr)
         return EXIT_ORDER
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to /dev/null, so
+        # the flush at interpreter exit fails no second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

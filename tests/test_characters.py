@@ -268,6 +268,80 @@ def test_sweep_matches_recursive_enumeration(name):
             assert _theta_counts(ch.lattice_theta(lat, order)) == want, (name, c, order)
 
 
+def _per_state_counts(lat, order):
+    """{Q(v)/2: multiplicity} by the level sweep before moves were shared:
+    every (centres, norm) state rebuilds the reduced centres of each of its
+    coordinates, with the range |Y_i| <= isqrt((bound - acc) // P_i)."""
+    L, d = lat.ldl()
+    n = lat.rank
+    c = list(lat.coset_offset)
+    M = lcm(*(x.denominator for x in c), 1)
+    Lam = lcm(*(L[j][i].denominator for i in range(n) for j in range(i + 1, n)),
+              1)
+    ML = M * Lam
+    K = lcm(*(di.denominator for di in d)) * ML * ML
+    P = [int(di * K) // (ML * ML) for di in d]
+    cols = [[int(Lam * L[j][i]) for j in range(n)] for i in range(n)]
+    moff = [int(M * ci) for ci in c]
+    bound = 2 * order * K
+    frontier = {(tuple(Lam * mc for mc in moff), 0): 1}
+    for i in range(n - 1, -1, -1):
+        pi, mi = P[i], moff[i]
+        nxt = {}
+        for (t, acc), mult in frontier.items():
+            ti = t[i]
+            r = isqrt((bound - acc) // pi)
+            for x in range(-((r + ti) // ML), (r - ti) // ML + 1):
+                y = x * ML + ti
+                sh = x * M + mi
+                lower = [t[k] + cols[k][i] * sh for k in range(i)]
+                for j in range(i - 1, -1, -1):
+                    m, lower[j] = divmod(lower[j], ML)
+                    if m:
+                        for k in range(j):
+                            lower[k] -= cols[k][j] * m * M
+                key = (tuple(lower), acc + pi * y * y)
+                nxt[key] = nxt.get(key, 0) + mult
+        frontier = nxt
+    return {Q(acc, 2 * K): k for (_, acc), k in frontier.items()}
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6", "E7", "E8"])
+def test_shared_moves_match_the_per_state_sweep(name):
+    # past the recursive oracle's order 29, with every nonzero offset
+    gram, cosets, _ = ch._case_data(name)
+    for c in cosets:
+        lat = ch.lattice(gram, c)
+        for order in (40, 60):
+            want = _per_state_counts(lat, order)
+            assert _theta_counts(ch.lattice_theta(lat, order)) == want, (name, c, order)
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6", "E7", "E8"])
+def test_verify_enumerates_each_coset_once(monkeypatch, name):
+    # the coset weights are read from the characters' own enumeration
+    calls = []
+    sweep = ch.lattice_theta
+
+    def counted(lat, order):
+        calls.append(lat)
+        return sweep(lat, order)
+
+    monkeypatch.setattr(ch, "lattice_theta", counted)
+    assert ch.verify_case(name, 5)["status"] == "verified"
+    _, cosets, _ = ch._case_data(name)
+    assert len(calls) == len(cosets)
+
+
+def test_coset_weight_mismatch_fails_the_report(monkeypatch):
+    swapped = dict(ch._COSET_WEIGHTS, A2=ch._COSET_WEIGHTS["A2"][::-1])
+    monkeypatch.setattr(ch, "_COSET_WEIGHTS", swapped)
+    rep = ch.verify_case("A2", 5)
+    assert rep["status"] == "failed"
+    assert rep["detail"].startswith("coset weights ")
+    assert "first_bad_exponent" not in rep
+
+
 def _cartan_E8():
     # Bourbaki: chain 1-3-4-5-6-7-8 with node 2 attached to node 4
     g = [[2 if i == j else 0 for j in range(8)] for i in range(8)]

@@ -216,6 +216,26 @@ def test_log_solve_off_the_roots_exits_promptly(s, alpha):
     assert "is not an indicial root" in done.stderr
 
 
+def test_closed_stdout_exits_quietly():
+    # the dump (about 880 kB) outgrows the pipe, so the writer is still
+    # writing when the reader closes it after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mldelab.cli", "forms", "dump", "--name", "psi1",
+         "--order", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""            # no traceback, no "Exception ignored" at exit
+    assert code == cli.EXIT_PIPE
+
+
 def test_verification_failure_exit(capsys):
     # a non-root alpha is a verification failure, not a usage error
     assert cli.main(["solve", "--s", "6/5", "--alpha", "0"]) == cli.EXIT_VERIFY
