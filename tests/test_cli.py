@@ -227,13 +227,11 @@ def test_closed_stdout_exits_quietly():
     try:
         assert proc.stdout.readline() == "{\n"
         proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=30)
+        _, err = proc.communicate(timeout=30)
     finally:
         proc.kill()
-        proc.stderr.close()
     assert err == ""            # no traceback, no "Exception ignored" at exit
-    assert code == cli.EXIT_PIPE
+    assert proc.returncode == cli.EXIT_PIPE
 
 
 def test_verification_failure_exit(capsys):
