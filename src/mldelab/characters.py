@@ -5,20 +5,24 @@ Three ingredients are computed exactly and then assembled:
 * the four irreducible characters of the (3,5) Virasoro minimal model at
   central charge -3/5, via the two-sided alternating (BGG resolution) sum
   over the Verma character q^(h - c/24) / prod(1 - q^n);
-* theta series of positive-definite integral lattices and their cosets,
-  over an exact LDL decomposition of the Gram matrix (no floating point
-  anywhere).  The enumeration is a sweep that chooses one coordinate per
-  level, top level first, over a frontier of states: the integer centres
-  of the levels still to choose and the norm accumulated so far, each with
-  the number of partial vectors that reach it.  Moving an unchosen
-  coordinate by a whole number only re-indexes the vectors below, so each
-  centre is reduced into one period and equal states merge.  The moves out
-  of a state (each coordinate's cost and the reduced centres it leaves)
-  depend on its centres alone, so they are computed once per centre tuple
-  and shared by every accumulated norm there.  For the E8 cosets at order
-  29 the frontier never holds more than 6 centre tuples and 175 states,
-  and the sweep computes 717 moves, which its states take 10,900 times,
-  while the series counts 10,337,539 vectors;
+* theta series of positive-definite integral lattices and their cosets.
+  One fraction-free (Bareiss) elimination of the Gram matrix gives its
+  leading principal minors and pivot columns, all integers.  The
+  enumeration reads the integer scales of G = L D L^T from them, and the
+  fundamental coweights are solved over the same elimination, so no
+  floating point is used anywhere and no Fraction before the results.
+  The enumeration is a sweep that chooses one coordinate per level, top
+  level first, over a frontier of states: the integer centres of the
+  levels still to choose and the norm accumulated so far, each with the
+  number of partial vectors that reach it.  Moving an unchosen coordinate
+  by a whole number only re-indexes the vectors below, so each centre is
+  reduced into one period and equal states merge.  The moves out of a
+  state (each coordinate's cost and the reduced centres it leaves) depend
+  on its centres alone, so they are computed once per centre tuple and
+  shared by every accumulated norm there.  For the E8 cosets at order 29
+  the frontier never holds more than 6 centre tuples and 175 states, and
+  the sweep computes 717 moves, which its states take 10,900 times, while
+  the series counts 10,337,539 vectors;
 * the extension characters chi_M * chi_h + chi_{M x P} * chi_{h'} where
   h' is the image of h under fusion with the weight-3/4 module.
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from . import forms as F
@@ -128,19 +132,31 @@ class IntegralLattice:
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram must be symmetric")
 
-    def ldl(self) -> tuple[list[list[Fraction]], list[Fraction]]:
-        """(unit lower triangular L, positive diagonal D) with G = L D L^T."""
-        n = self.rank
-        L = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-        d = [Q(0)] * n
-        for j in range(n):
-            d[j] = Q(self.gram[j][j]) - sum(L[j][k] ** 2 * d[k] for k in range(j))
-            if d[j] <= 0:
-                raise NotPositiveDefinite(f"pivot {j} is {d[j]}")
-            for i in range(j + 1, n):
-                L[i][j] = (Q(self.gram[i][j])
-                           - sum(L[i][k] * L[j][k] * d[k] for k in range(j))) / d[j]
-        return L, d
+
+def bareiss(gram: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Fraction-free (Bareiss) elimination of a symmetric Gram matrix G.
+
+    Row i of the result holds a[i][0..i].  The diagonal a[k][k] is the
+    leading principal minor Delta_{k+1} of size k + 1 (Delta_0 = 1), and
+    a[i][k], i > k, is column k of the matrix at step k, when row k is the
+    pivot row.  Every entry is an integer minor of G.  With them
+    G = L D L^T, where D_k = Delta_{k+1} / Delta_k and
+    L_ik = a[i][k] / Delta_{k+1}.  A minor <= 0 means G is not positive
+    definite (Sylvester's criterion) and raises NotPositiveDefinite."""
+    n = len(gram)
+    a = [[int(gram[i][j]) for j in range(i + 1)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            raise NotPositiveDefinite(f"pivot {k} is {Q(p, prev)}")
+        # the step stays symmetric, so only the lower triangle is kept
+        for i in range(k + 1, n):
+            row, aik = a[i], a[i][k]
+            for j in range(k + 1, i + 1):
+                row[j] = (p * row[j] - aik * a[j][k]) // prev
+        prev = p
+    return a
 
 
 def lattice(gram: Sequence[Sequence[int]],
@@ -159,25 +175,30 @@ def lattice_theta(lat: IntegralLattice, order: int) -> PuiseuxSeries:
     of step 1/g past the lowest, g = lcm(2 if some G_ii is odd else 1, the
     denominators of G c); the series is exact to the first grid point
     past q^order."""
-    L, d = lat.ldl()     # raises NotPositiveDefinite
+    a = bareiss(lat.gram)       # raises NotPositiveDefinite
     n = lat.rank
-    c = list(lat.coset_offset)
-    # Everything below is integer arithmetic: coordinates are scaled by
-    # M (offset denominator) * Lam (LDL denominator), and the quadratic
-    # form by K, so the sweep never touches Fractions.
+    delta = [1] + [a[k][k] for k in range(n)]        # Delta_0..Delta_n
+    c = lat.coset_offset
+    # Everything is integer arithmetic: coordinates are scaled by
+    # M (offset denominator) * Lam (denominator of L), and the quadratic
+    # form by K, so neither the set-up nor the sweep touches Fractions.
     M = lcm(*(x.denominator for x in c), 1)
-    Lam = lcm(*(L[j][i].denominator for i in range(n) for j in range(i + 1, n)),
-              1)
+    moff = [x.numerator * (M // x.denominator) for x in c]      # M * c_i
+    # L_ji = a[j][i] / Delta_{i+1} has denominator Delta_{i+1} / gcd
+    Lam = lcm(*(delta[i + 1] // gcd(a[j][i], delta[i + 1])
+                for i in range(n) for j in range(i + 1, n)), 1)
     ML = M * Lam
-    K = lcm(*(di.denominator for di in d)) * ML * ML
+    # D_k = Delta_{k+1} / Delta_k has denominator Delta_k / gcd
+    dden = lcm(*(delta[k] // gcd(delta[k + 1], delta[k]) for k in range(n)))
+    K = dden * ML * ML
     # cost of level i is P[i] * Y_i^2 with Y_i = ML * y_i, in units of 1/K
-    P = [int(di * K) // (ML * ML) for di in d]
-    assert all(Q(p) == di * K / (ML * ML) for p, di in zip(P, d))
+    assert all(delta[k + 1] * dden % delta[k] == 0 for k in range(n))
+    P = [delta[k + 1] * dden // delta[k] for k in range(n)]
     # Y_i = x_i * ML + t_i, where the centre t_i = ML * c_i
     # + sum_{j>i} cols[i][j] * M * (x_j + c_j) is fixed once x_j, j > i,
     # are chosen; cols[i][j] = Lam * L[j][i]
-    cols = [[int(Lam * L[j][i]) for j in range(n)] for i in range(n)]
-    moff = [int(M * ci) for ci in c]                 # M * c_i
+    cols = [[Lam * a[j][i] // delta[i + 1] if j > i else 0 for j in range(n)]
+            for i in range(n)]
     bound = 2 * order * K
     # Level sweep from i = n-1 down to 0.  A state is (t_0..t_i, acc) with
     # acc the cost of the levels already chosen; its value is the number
@@ -222,8 +243,10 @@ def lattice_theta(lat: IntegralLattice, order: int) -> PuiseuxSeries:
         raise ArithmeticError("empty coset enumeration")
     low = min(counts)
     odd = any(lat.gram[i][i] % 2 for i in range(n))
+    # the denominators of G c, whose entries are sum_j G_ij (M c_j) / M
     grid = lcm(2 if odd else 1,
-               *(sum(g * cj for g, cj in zip(row, c)).denominator for row in lat.gram))
+               *(M // gcd(M, sum(g * mc for g, mc in zip(row, moff)))
+                 for row in lat.gram))
     # the norm acc / 2K lies (acc - low) * grid / 2K grid steps past the base
     nums = [0] * ((bound - low) * grid // (2 * K) + 1)
     for acc, k in counts.items():
@@ -265,16 +288,23 @@ def _cartan(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
 
 def fundamental_coweight(gram: Sequence[Sequence[int]], node: int) -> list[Fraction]:
     """Coordinates (in the lattice basis) of the dual basis vector at node:
-    the solution of gram * x = e_node, by substitution through G = L D L^T."""
-    L, d = lattice(gram).ldl()
+    the solution x of gram * x = e_node.  The right-hand side is carried
+    through the Bareiss elimination of gram, and X = det(gram) * x, whose
+    entries are integers by Cramer's rule, is back-substituted exactly."""
+    a = bareiss(gram)
     n = len(gram)
-    y = [Q(0)] * n
-    for i in range(n):                       # L y = e_node
-        y[i] = Q(i == node - 1) - sum(L[i][k] * y[k] for k in range(i))
-    x = [Q(0)] * n
-    for i in reversed(range(n)):             # L^T x = D^-1 y
-        x[i] = y[i] / d[i] - sum(L[k][i] * x[k] for k in range(i + 1, n))
-    return x
+    b = [int(i == node - 1) for i in range(n)]
+    prev = 1
+    for k in range(n):                       # the elimination steps, on b
+        p = a[k][k]
+        for i in range(k + 1, n):
+            b[i] = (p * b[i] - a[i][k] * b[k]) // prev
+        prev = p
+    det = prev
+    X = [0] * n
+    for i in reversed(range(n)):             # row i of step i is a[j][i], j >= i
+        X[i] = (det * b[i] - sum(a[j][i] * X[j] for j in range(i + 1, n))) // a[i][i]
+    return [Q(x, det) for x in X]
 
 
 # -- the Deligne exceptional series -----------------------------------
@@ -433,12 +463,16 @@ def _non_counting_after_rescale(f: PuiseuxSeries, below: Optional[Fraction] = No
     return f.scale(settled).first_non_counting(below)
 
 
-def verify_case(name: str, order: int = 25) -> dict:
+def verify_case(name: str, order: int = 25,
+                basis: Optional[list[tuple[Fraction, PuiseuxSeries]]] = None
+                ) -> dict:
     """Cross-check one case against the fourth-order family.  Every series
     check reads a solution or character with leading exponent e through
     q^(e + order), below q^(e + order + 1/2), and its operands are built to
     exactly that window.  A failed report carries a detail line and, when a
-    series check failed, the first bad exponent and the residual there."""
+    series check failed, the first bad exponent and the residual there.
+    A caller that already holds ``ramond_character_basis(name, order)``
+    passes it as ``basis``, and its cosets are not enumerated again."""
     d = datum(name)
     report = {"name": name, "s": str(d.s), "order": order}
     roots = flat_indicial_roots(d.s)
@@ -465,7 +499,7 @@ def verify_case(name: str, order: int = 25) -> dict:
         report["status"] = "verified" if ok else "failed"
         return report
     try:
-        chars = ramond_character_basis(name, order)
+        chars = basis if basis is not None else ramond_character_basis(name, order)
     except CosetWeightMismatch as exc:
         return report_failure(report, detail=f"coset weights {exc.args[0]} != printed")
     exps = sorted(e for e, _ in chars)

@@ -233,11 +233,12 @@ def cmd_characters(args) -> int:
         "exponents": [rat_str(e) for e in d.ramond_exponents],
     }
     status = EXIT_OK
+    basis = None
     if d.verification == "full":
         basis = characters.ramond_character_basis(d.name, args.order)
         payload["characters"] = [chi.to_json_dict() for _, chi in basis]
     if args.verify:
-        report = characters.verify_case(d.name, args.order)
+        report = characters.verify_case(d.name, args.order, basis)
         payload["verified"] = report["status"] == "verified"
         payload["report"] = report
         if not payload["verified"]:

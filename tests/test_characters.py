@@ -195,12 +195,110 @@ def test_a2_small_prefixes():
     assert [chi.coefficient(Q(-1, 15) + k) for k in range(5)] == [1, 4, 8, 20, 37]
 
 
+# -- the integer elimination against a Fraction LDL --------------------
+
+def _ldl(gram):
+    """(unit lower triangular L, positive diagonal D) with G = L D L^T, by
+    the textbook Fraction recurrence: an oracle that shares no code with
+    the package's integer elimination."""
+    n = len(gram)
+    L = [[Fr(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [Fr(0)] * n
+    for j in range(n):
+        d[j] = Fr(gram[j][j]) - sum(L[j][k] ** 2 * d[k] for k in range(j))
+        assert d[j] > 0, f"pivot {j} is {d[j]}"
+        for i in range(j + 1, n):
+            L[i][j] = (Fr(gram[i][j])
+                       - sum(L[i][k] * L[j][k] * d[k] for k in range(j))) / d[j]
+    return L, d
+
+
+def _coweight(gram, node):
+    """The solution x of gram * x = e_node, by substitution through _ldl."""
+    L, d = _ldl(gram)
+    n = len(gram)
+    y = [Fr(0)] * n
+    for i in range(n):                       # L y = e_node
+        y[i] = Fr(int(i == node - 1)) - sum(L[i][k] * y[k] for k in range(i))
+    x = [Fr(0)] * n
+    for i in reversed(range(n)):             # L^T x = D^-1 y
+        x[i] = y[i] / d[i] - sum(L[k][i] * x[k] for k in range(i + 1, n))
+    return x
+
+
+def _factors_of(a):
+    """L and D read off the elimination: D_k = Delta_{k+1} / Delta_k and
+    L_ik = a[i][k] / Delta_{k+1}, with Delta_{k+1} = a[k][k]."""
+    n = len(a)
+    delta = [1] + [a[k][k] for k in range(n)]
+    L = [[Fr(a[i][k], delta[k + 1]) if k < i else Fr(int(i == k))
+          for k in range(n)] for i in range(n)]
+    return L, [Fr(delta[k + 1], delta[k]) for k in range(n)]
+
+
+def _cartan_E8():
+    # Bourbaki: chain 1-3-4-5-6-7-8 with node 2 attached to node 4
+    g = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for a, b in [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]:
+        g[a - 1][b - 1] = g[b - 1][a - 1] = -1
+    return g
+
+
+def _case_grams():
+    grams = {name: ch._case_data(name)[0] for name in ("A2", "D4", "E6", "E7", "E8")}
+    grams["E8 Cartan"] = _cartan_E8()
+    return grams
+
+
+@pytest.mark.parametrize("name, gram", _case_grams().items())
+def test_bareiss_matches_the_fraction_ldl(name, gram):
+    assert _factors_of(ch.bareiss(gram)) == _ldl(gram)
+
+
+@st.composite
+def _gram_btb_plus_one(draw):
+    """B^T B + I for a small integer B of rank 1-7: positive definite."""
+    n = draw(st.integers(1, 7))
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    return [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j)
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_gram_btb_plus_one())
+def test_bareiss_matches_the_fraction_ldl_on_random_grams(gram):
+    assert _factors_of(ch.bareiss(gram)) == _ldl(gram)
+    for node in range(1, len(gram) + 1):
+        assert ch.fundamental_coweight(gram, node) == _coweight(gram, node)
+
+
+@pytest.mark.parametrize("name, gram", _case_grams().items())
+def test_coweights_solve_the_gram_system(name, gram):
+    n = len(gram)
+    for node in range(1, n + 1):
+        w = ch.fundamental_coweight(gram, node)
+        assert all(isinstance(x, Fr) for x in w)
+        assert [sum(g * x for g, x in zip(row, w)) for row in gram] \
+            == [int(i == node - 1) for i in range(n)], (name, node)
+        assert w == _coweight(gram, node)
+
+
+def test_singular_gram_fails_at_its_zero_minor():
+    # the affine A2 Cartan matrix: minors 2, 3, 0
+    affine = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    for build in (lambda: ch.bareiss(affine),
+                  lambda: ch.lattice_theta(ch.lattice(affine), 3),
+                  lambda: ch.fundamental_coweight(affine, 1)):
+        with pytest.raises(ch.NotPositiveDefinite, match="^pivot 2 is 0$"):
+            build()
+
+
 # -- the level sweep against independent enumerators ------------------
 
 def _recursive_counts(lat, order):
     """{Q(v)/2: multiplicity} by the depth-first branch-and-bound that the
     level sweep replaced: one leaf per vector, centres re-summed per node."""
-    L, d = lat.ldl()
+    L, d = _ldl(lat.gram)
     n = lat.rank
     c = list(lat.coset_offset)
     M = lcm(*(x.denominator for x in c), 1)
@@ -241,7 +339,7 @@ def _box_counts(gram, offset, order):
     counts = {}
     ranges = []
     for i in range(n):
-        r2 = 2 * order * ch.fundamental_coweight(gram, i + 1)[i]
+        r2 = 2 * order * _coweight(gram, i + 1)[i]
         r = isqrt(floor(r2)) + 1
         ranges.append(range(ceil(-r - offset[i]), floor(r - offset[i]) + 1))
     for x in product(*ranges):
@@ -272,7 +370,7 @@ def _per_state_counts(lat, order):
     """{Q(v)/2: multiplicity} by the level sweep before moves were shared:
     every (centres, norm) state rebuilds the reduced centres of each of its
     coordinates, with the range |Y_i| <= isqrt((bound - acc) // P_i)."""
-    L, d = lat.ldl()
+    L, d = _ldl(lat.gram)
     n = lat.rank
     c = list(lat.coset_offset)
     M = lcm(*(x.denominator for x in c), 1)
@@ -340,14 +438,6 @@ def test_coset_weight_mismatch_fails_the_report(monkeypatch):
     assert rep["status"] == "failed"
     assert rep["detail"].startswith("coset weights ")
     assert "first_bad_exponent" not in rep
-
-
-def _cartan_E8():
-    # Bourbaki: chain 1-3-4-5-6-7-8 with node 2 attached to node 4
-    g = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
-    for a, b in [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]:
-        g[a - 1][b - 1] = g[b - 1][a - 1] = -1
-    return g
 
 
 def test_e8_theta_is_e4():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mldelab import catalog, cli
+from mldelab import catalog, characters, cli
 from mldelab.series import series_from_json_dict
 
 
@@ -370,3 +371,34 @@ def test_reproduce_output_is_pinned(capsys):
     code, out = run(capsys, "reproduce")
     assert code == 0
     assert out == (Path(__file__).parent / "data" / "reproduce.json").read_text()
+
+
+CHARACTER_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "characters.json").read_text())
+
+
+@pytest.mark.parametrize("algebra, order", [
+    (algebra, order) for algebra, by_order in CHARACTER_DIGESTS.items()
+    for order in by_order])
+def test_characters_output_is_pinned(capsys, algebra, order):
+    # tests/data/characters.json holds the sha256 of the stdout of
+    # `mldelab characters --algebra X --order N`: every printed coefficient
+    code, out = run(capsys, "characters", "--algebra", algebra, "--order", order)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARACTER_DIGESTS[algebra][order]
+
+
+def test_characters_verify_enumerates_each_coset_once(capsys, monkeypatch):
+    # the printed characters and the check share one Ramond basis
+    calls = []
+    sweep = characters.lattice_theta
+
+    def counted(lat, order):
+        calls.append(lat)
+        return sweep(lat, order)
+
+    monkeypatch.setattr(characters, "lattice_theta", counted)
+    code, payload = run_json(capsys, "characters", "--algebra", "E6",
+                             "--verify", "--order", "5")
+    assert code == 0 and payload["verified"]
+    assert len(calls) == 6
