@@ -130,7 +130,7 @@ def cmd_forms(args) -> int:
 
 
 def cmd_indicial(args) -> int:
-    rep = indicial(build_flat(args.s, 4))
+    rep = indicial(build_flat(args.s, 0))  # indicial reads only q^0
     payload = {
         "s": rat_str(args.s),
         "roots": [rat_str(r) for r in rep.roots],
@@ -170,8 +170,8 @@ def cmd_apply(args) -> int:
         raise UsageError(f"cannot read {args.series}: {exc.strerror}")
     except ValueError as exc:  # also json.JSONDecodeError and UnicodeDecodeError
         raise UsageError(f"{args.series} holds no series: {exc}")
-    op = build_flat(args.s, args.order + 2)
-    out = op.apply(f)
+    # exact below q^(f.base + order + 1), or f's own truncation if shorter
+    out = build_flat(args.s, args.order).apply(f)
     _json({"s": rat_str(args.s), "series": out.to_json_dict()})
     return EXIT_OK
 

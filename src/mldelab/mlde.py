@@ -73,18 +73,19 @@ def mu(t: QLike) -> Fraction:
 
 
 def alphas(s: QLike) -> tuple[Fraction, Fraction, Fraction]:
-    """(a1, a2, a3) of the fourth-order family at parameter s."""
+    """(a1, a2, a3) of the fourth-order family at parameter s = p/q."""
     s = rat(s)
-    a1 = (-25 * s * s + 120 * s + 1332) / 7200
-    a2 = (5 * s + 6) ** 2 / 14400
-    a3 = (s - 18) * (s + 6) * (5 * s + 6) ** 2 / 8294400
-    return a1, a2, a3
+    p, q = s.numerator, s.denominator
+    w = (5 * p + 6 * q) ** 2
+    return (Q(-25 * p * p + 120 * p * q + 1332 * q * q, 7200 * q * q), Q(w, 14400 * q * q),
+            Q((p - 18 * q) * (p + 6 * q) * w, 8294400 * q ** 4))
 
 
 def flat_indicial_roots(s: QLike) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Closed-form indicial roots of flat(s), in the conventional order."""
     s = rat(s)
-    return (-s / 24 - Q(1, 20), -s / 24 + Q(3, 4), s / 24 + Q(1, 4), s / 24 + Q(1, 20))
+    p, q = 5 * s.numerator, 120 * s.denominator  # s/24 = p/q
+    return Q(-p - q // 20, q), Q(3 * q // 4 - p, q), Q(p + q // 4, q), Q(p + q // 20, q)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 from fractions import Fraction as Fr
 
-import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mldelab import catalog
 from mldelab.classify import (CASES, QUASIMODULAR_VALUES, classify_all,
                               enumerate_case, filter_candidates,
                               strictly_modular_candidates)
-from mldelab.mlde import build_flat, flat_indicial_roots, frobenius_solve
-from mldelab.series import rat
+from mldelab.mlde import build_flat, divisors, flat_indicial_roots, frobenius_solve
+from mldelab.series import Q, rat
 
 
 def _fr(*nums):
@@ -70,6 +70,49 @@ def test_strictly_modular_17():
 def test_excluded_linear_roots():
     assert [CASES[c].excluded_linear_root for c in (1, 2, 3, 4)] == \
         [Fr(54, 5), Fr(18), Fr(-6), Fr(-66, 5)]
+
+
+# -- the printed Diophantine table against the derived constraints -------
+
+#: the printed n = 1 analysis, case by case: t = m*s = d + d_offset for a
+#: divisor d of C, the a1 that d induces, and the excluded linear root
+PRINTED_CASES = {
+    1: dict(m=5, constant=-2880, d_offset=42,
+            a1_of_d=lambda d: Q(-2880, d) - d - 108, excluded_linear_root=Q(54, 5)),
+    2: dict(m=15, constant=100800, d_offset=306,
+            a1_of_d=lambda d: (Q(-100800, d) - d - 632) / 3, excluded_linear_root=Q(18)),
+    3: dict(m=5, constant=4200, d_offset=-78,
+            a1_of_d=lambda d: d - 130 + Q(4200, d), excluded_linear_root=Q(-6)),
+    4: dict(m=5, constant=180, d_offset=-18,
+            a1_of_d=lambda d: d - 27 + Q(180, d), excluded_linear_root=Q(-66, 5)),
+}
+
+
+def test_derived_constraints_match_the_printed_table():
+    for cid, printed in PRINTED_CASES.items():
+        n1 = CASES[cid].n1
+        assert (n1.m, n1.d_offset, n1.excluded_linear_root) == \
+            (printed["m"], printed["d_offset"], printed["excluded_linear_root"]), cid
+        # C enters only through its divisors, and the printed table writes
+        # case 1's equation d * (cofactor) = C with the other sign
+        assert abs(n1.constant) == abs(printed["constant"]), cid
+        for d in (sign * p for p in divisors(n1.constant) for sign in (1, -1)):
+            assert n1.a1(d) == printed["a1_of_d"](d), (cid, d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2, 3, 4)), st.integers(-400, 400), st.integers(1, 30))
+def test_derived_a1_is_the_recursion_step(cid, p, q):
+    # away from the pole and the excluded root, the derived constraint gives
+    # the recursion's own first coefficient, which solves the printed n = 1
+    # polynomial
+    n1, s = CASES[cid].n1, Q(p, q)
+    d = n1.m * s - n1.d_offset
+    assume(d != 0 and s != n1.excluded_linear_root)
+    alpha = flat_indicial_roots(s)[cid - 1]
+    a1 = frobenius_solve(build_flat(s, 1), alpha, 1).coefficient(alpha + 1)
+    assert n1.a1(d) == a1
+    assert n1_polynomial_fixture(cid, s, a1) == 0
 
 
 # -- the printed n = 1 and n = 2 polynomials ----------------------------
@@ -153,8 +196,12 @@ def test_filter_depth_is_the_deepest_witness():
 
 
 def test_no_candidate_is_resonant():
-    for case in CASES.values():
-        assert filter_candidates(case).resonant == ()
+    # a resonant step would raise Resonance from the solve to the case depth
+    for cid, case in CASES.items():
+        depth = case.filter_depth
+        for s, _ in enumerate_case(case):
+            alpha = flat_indicial_roots(s)[cid - 1]
+            frobenius_solve(build_flat(s, depth), alpha, depth)
 
 
 def test_classification_is_the_catalogued_parameters():

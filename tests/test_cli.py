@@ -349,6 +349,20 @@ def test_apply_reads_long_coefficients(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("terms", [13, 4])
+def test_apply_truncation_follows_the_order(capsys, tmp_path, terms):
+    # the operator is built to --order, so the output is exact below
+    # q^(f.base + order + 1), or below f's own truncation if f is shorter
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"base_exponent": "1/3", "grid": 1, "order": terms - 1,
+                                "coeffs": [str(k + 1) for k in range(terms)]}))
+    code, payload = run_json(capsys, "apply", "--s", "6/5", "--series", str(path),
+                             "--order", "6")
+    assert code == 0
+    out = series_from_json_dict(payload["series"])
+    assert out.truncation == Fraction(1, 3) + min(6 + 1, terms)
+
+
 @pytest.mark.parametrize("extra", [[], ["--log"]])
 def test_apply_annihilates_solution_file(capsys, tmp_path, extra):
     alpha = "1/2" if extra else "-1/10"
