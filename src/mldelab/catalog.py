@@ -152,13 +152,6 @@ def _binary_form(terms, degree: int, values: Sequence[PuiseuxSeries]) -> Puiseux
     return prefactor * (h + cs[0])
 
 
-def _table_base(name: str, bases: Sequence[Fraction]) -> Fraction:
-    """The base of a stored polynomial at arguments of the given bases: the
-    smallest over its terms, as a sum of the terms has."""
-    return min(sum(e * b for e, b in zip(exps, bases))
-               for _, exps in polynomial(name)["terms"])
-
-
 # -- the quasimodular pairs (positive-depth solutions) -----------------
 # Each is F = a*D(P(u,v)) / eta^m + b*Q(u,v) / eta^m with (u,v) either
 # (psi1, psi2) or (psi2, -psi1); the depth-1 structure gives the log
@@ -238,17 +231,14 @@ class CatalogEntry:
         return self.label.rsplit(".", 1)[0]
 
 
-def _px(*cs) -> tuple[Fraction, ...]:
-    return tuple(rat(c) for c in cs)
-
-
-_RAW_ENTRIES: list[CatalogEntry] = []
+#: section -> its entries, in catalog order
+SECTIONS: dict[str, list[CatalogEntry]] = {}
 
 
 def _ent(label, s, exponent, prefix, formula="", **kw):
-    _RAW_ENTRIES.append(CatalogEntry(
-        label=label, s=rat(s), exponent=rat(exponent),
-        printed_prefix=None if prefix is None else _px(*prefix), formula=formula, **kw))
+    e = CatalogEntry(label=label, s=rat(s), exponent=rat(exponent), formula=formula,
+                     printed_prefix=None if prefix is None else tuple(map(rat, prefix)), **kw)
+    SECTIONS.setdefault(e.section, []).append(e)
 
 
 # A recipe carries no overall scale: every plain entry is divided by its
@@ -507,7 +497,7 @@ _ent("C.f.f1/5", "42/5", "3/5", (1, 25, 276, "8379/4", 12481, 62859),
 _ent("C.f.g0", "42/5", "2/5", None, operator="log")
 _ent("C.f.g1/5", "42/5", "3/5", None, operator="log")
 
-ENTRIES: dict[str, CatalogEntry] = {e.label: e for e in _RAW_ENTRIES}
+ENTRIES: dict[str, CatalogEntry] = {e.label: e for es in SECTIONS.values() for e in es}
 
 
 def labels() -> tuple[str, ...]:
@@ -529,9 +519,7 @@ def _recipe(section: str, k) -> dict:
     formula reads the earlier: a formula by ``formula.evaluate``, and a
     quasimodular row by ``_pair``, which also gives the G companion (the
     entry that holds neither)."""
-    for e in ENTRIES.values():
-        if e.section != section:
-            continue
+    for e in SECTIONS[section]:
         name = e.label[len(section) + 1:]
         if e.formula:
             k.siblings[name] = k.unit(formula.evaluate(e.formula, k))
@@ -553,7 +541,7 @@ def _lead_gaps(section: str) -> dict[str, Fraction]:
     exponent > base.  The bases do not depend on n, so the recipe is read
     once on leads (``formula.Leads``), which track the base alone and build
     no coefficient."""
-    leads = _recipe(section, formula.Leads(_table_base))
+    leads = _recipe(section, formula.Leads(polynomial))
     return {f"{section}.{name}": ENTRIES[f"{section}.{name}"].exponent - base
             for name, base in leads.items()}
 
@@ -570,8 +558,7 @@ def section_build_order(section: str, order: int) -> int:
     """The order a section is built at for entries exact `order` steps past
     their exponents.  ``verify_entry`` also reads each printed prefix
     whatever the order, so the section reaches its longest one too."""
-    prefix = max(len(e.printed_prefix or ()) for e in ENTRIES.values()
-                 if e.section == section)
+    prefix = max(len(e.printed_prefix or ()) for e in SECTIONS[section])
     return max(order, prefix) + section_margin(section)
 
 
@@ -619,9 +606,7 @@ def designated_operator(label: str, order: int) -> MLDEOperator:
 def default_verification_order(label: str) -> int:
     """25 in a section whose formulas substitute q^m into a form (costlier),
     else 40."""
-    section = entry(label).section
-    return 25 if any("(q^" in e.formula for e in ENTRIES.values()
-                     if e.section == section) else 40
+    return 25 if any("(q^" in e.formula for e in SECTIONS[entry(label).section]) else 40
 
 
 def verify_entry(label: str, order: Optional[int] = None) -> dict:

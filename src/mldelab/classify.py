@@ -89,7 +89,7 @@ CASES: dict[int, CaseSpec] = {i: CaseSpec(i, d) for i, d in enumerate((4, 32, 23
 #: values whose CFT-type solutions are quasimodular of positive depth: the
 #: parameters of the catalog's C sections
 QUASIMODULAR_VALUES: tuple[Fraction, ...] = tuple(sorted(
-    {e.s for e in catalog.ENTRIES.values() if e.section.startswith("C.")}))
+    {e.s for section, es in catalog.SECTIONS.items() if section.startswith("C.") for e in es}))
 
 
 def enumerate_case(case: CaseSpec) -> list[tuple[Fraction, int]]:

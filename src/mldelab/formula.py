@@ -28,13 +28,15 @@ exact order + 1 steps past its base, and no operation of the grammar
 shortens that reach past the result's base.  :class:`Leads` evaluates to
 base exponents alone, which do not depend on the order: products add them,
 sums take the smaller (a scalar sits at q^0), powers and substitutions
-scale them, and every other operation keeps them.
+scale them, and every other operation keeps them.  :class:`Weights`
+evaluates to the set of modular weights that an expression carries.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional
 
 from . import forms as F
@@ -43,8 +45,10 @@ from .series import LogSeries, PuiseuxSeries, Q
 
 _TOKEN = re.compile(r"f-?\d+(?:/\d+)?(?![\w/])|\d+|[A-Za-z]\w*(?:\.\w+)*|\S")
 
-_FORMS = {name: builder for name, (builder, _, _) in F.FORM_TABLE.items()}
-_FORMS.update(eta=F.eta, E2=F.eisenstein_e2, E4=F.eisenstein_e4, E6=F.eisenstein_e6)
+#: NAME -> (builder, weight)
+_FORMS = {name: (builder, weight) for name, (builder, weight, _) in F.FORM_TABLE.items()}
+_FORMS.update(eta=(F.eta, Q(1, 2)), E2=(F.eisenstein_e2, Q(2)), E4=(F.eisenstein_e4, Q(4)),
+              E6=(F.eisenstein_e6, Q(6)))
 
 
 class Series:
@@ -63,7 +67,7 @@ class Series:
         return c
 
     def form(self, name: str) -> PuiseuxSeries:
-        return _FORMS[name](self.order)
+        return _FORMS[name][0](self.order)
 
     def add(self, x, y):
         return x + y
@@ -112,45 +116,73 @@ class Series:
         return x if isinstance(x, LogSeries) else PuiseuxSeries.one(self.order)
 
 
-class Leads:
-    """Values are base exponents (Fraction), and None for a scalar.
-    `table(name, bases)` is the base of a polynomial table at arguments of
-    the given bases."""
+class _Bookkeeping:
+    """Leads and Weights: one value per expression, no coefficient built.  A
+    polynomial table, stored as `polynomial(name)`, is a sum of products."""
 
-    def __init__(self, table: Callable):
-        self.table = table
-        self.siblings: dict = {}
+    def __init__(self, polynomial: Optional[Callable] = None):
+        self.polynomial, self.siblings = polynomial, {}
+        self.table = None if polynomial is None else self._table
 
-    def number(self, c: int) -> None:
-        return None
+    def _table(self, name: str, args):
+        return reduce(self.add, (reduce(self.mul, map(self.pow, args, exps), self.number(1))
+                                 for _, exps in self.polynomial(name)["terms"]))
+
+    def _same(self, x, *_):
+        return x
+
+
+class Leads(_Bookkeeping):
+    """Values are base exponents (Fraction); a scalar sits at q^0."""
+
+    add = staticmethod(min)
+
+    def number(self, c: int) -> Fraction:
+        return Q(0)
 
     def form(self, name: str) -> Fraction:
-        return _FORMS[name](0).base
-
-    def add(self, x, y):
-        if x is None and y is None:
-            return None
-        return min(Q(0) if x is None else x, Q(0) if y is None else y)
+        return _FORMS[name][0](0).base
 
     def mul(self, x, y):
-        return y if x is None else x if y is None else x + y
+        return x + y
 
     def pow(self, x, r, key: Optional[str] = None):
-        return None if x is None else x * r
-
-    def subst(self, x: Fraction, m: int) -> Fraction:
-        return x * m
+        return x * r
 
     def log(self, s: Fraction, alpha: Fraction) -> Fraction:
         return alpha
 
-    def unit(self, x):
-        return Q(0) if x is None else x
+    subst = pow
+    neg = derive = integrate = unit = _Bookkeeping._same
 
-    def _same(self, x):
-        return x
 
-    neg = derive = integrate = _same
+class Weights(_Bookkeeping):
+    """Values are frozensets of weights: {0} for a scalar and a log solution,
+    its weight for a form.  Sums unite them, products add every pair, powers
+    scale, D adds 2, ∫ subtracts 2, and every other operation keeps them."""
+
+    add = staticmethod(frozenset.union)
+
+    def number(self, *_) -> frozenset:
+        return frozenset((Q(0),))
+
+    def form(self, name: str) -> frozenset:
+        return frozenset((_FORMS[name][1],))
+
+    def mul(self, x, y):
+        return frozenset(a + b for a in x for b in y)
+
+    def pow(self, x, r, key: Optional[str] = None):
+        return frozenset(w * r for w in x)
+
+    def derive(self, x, step: int = 2):
+        return frozenset(w + step for w in x)
+
+    def integrate(self, x):
+        return self.derive(x, -2)
+
+    log = number
+    neg = subst = unit = _Bookkeeping._same
 
 
 class _Reader:

@@ -90,7 +90,8 @@ def flat_indicial_roots(s: QLike) -> tuple[Fraction, Fraction, Fraction, Fractio
 
 @dataclass(frozen=True)
 class MLDEOperator:
-    """sum(coefficients[j] * D^j); monic: coefficients[-1] == 1."""
+    """sum(coefficients[j] * D^j); monic: coefficients[-1] == 1.  Each
+    coefficient is a power series in q (base 0, grid 1)."""
 
     coefficients: tuple[PuiseuxSeries, ...]
     provenance: str = "custom"
@@ -149,8 +150,10 @@ def build_custom(coefficients: Sequence[PuiseuxSeries]) -> MLDEOperator:
     cs = tuple(coefficients)
     if len(cs) - 1 > 4:
         raise ValueError("operators of order > 4 are out of scope")
+    if any(c.base or c.grid != 1 for c in cs):
+        raise ValueError("operator coefficients must be power series in q")
     top = cs[-1]
-    if top.base != 0 or top.coefficient(0) != 1 or any(top.nums[1:]):
+    if top.coefficient(0) != 1 or any(top.nums[1:]):
         raise ValueError("operator must be monic in the top D-power")
     return MLDEOperator(cs)
 
@@ -306,9 +309,13 @@ def _steps(c: PuiseuxSeries, at: Fraction, order: int) -> list[int]:
     return [ns[k] if k >= 0 else 0 for k in range(start, start + (order + 1) * c.grid, c.grid)]
 
 
-def _operator_tables(op: MLDEOperator, order: int) -> list[tuple[list[int], int]]:
-    """(numerators of c_j at q^0..q^order, c_j.den) for each coefficient c_j."""
-    return [(_steps(c, Q(0), order), c.den) for c in op.coefficients]
+def _operator_tables(op: MLDEOperator, order: int) -> list[tuple[Sequence[int], int]]:
+    """(numerators of c_j at q^0..q^order, c_j.den) for each power series c_j."""
+    for c in op.coefficients:
+        if len(c.nums) <= order:
+            raise InsufficientOrder(
+                f"operator coefficients only justified to q^{c.truncation}, need > {order}")
+    return [(c.nums[:order + 1], c.den) for c in op.coefficients]
 
 
 def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:

@@ -15,15 +15,18 @@ each side is exact below q^(order + 1), past the window its verdict reads.
 A few printed sources of these identities contain transcription errors.
 Where the intended reading is forced by weight bookkeeping or by a unique
 exact linear fit, the corrected reading is catalogued and the note field
-records the discrepancy.  Two relations resisted any principled repair and
-are shipped quarantined: they are reported with their residual instead of
-being asserted.  One of them, e.5, prints a term with no series meaning;
-its ``evaluated_rhs`` is the printed right-hand side without that term.
+records the discrepancy.  A relation whose two sides are not homogeneous
+of one weight (read by ``formula.Weights`` on first use) is quarantined:
+it is reported with its residual instead of being asserted.  That holds
+of exactly e.5 and f.8, which resisted any principled repair.  e.5 prints
+a term with no series meaning; its ``evaluated_rhs``, which both readings
+take, is the printed right-hand side without that term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import formula
@@ -40,9 +43,22 @@ class RelationRecord:
     label: str
     formula: str
     note: Optional[str] = None
-    quarantined: bool = False
     #: the right-hand side evaluated in place of the printed one, if set
     evaluated_rhs: Optional[str] = None
+
+    @property
+    def sides(self) -> tuple[str, str]:
+        """The texts of the two sides that are evaluated."""
+        sides = self.formula.split("=")
+        if len(sides) != 2:
+            raise ValueError(f"formula {self.formula!r} needs exactly one '='")
+        return sides[0], self.evaluated_rhs or sides[1]
+
+    @cached_property
+    def quarantined(self) -> bool:
+        """True unless both sides are homogeneous of one weight."""
+        lhs, rhs = (formula.evaluate(text, formula.Weights()) for text in self.sides)
+        return len(lhs | rhs) != 1
 
 
 _R = RelationRecord
@@ -70,7 +86,6 @@ RELATIONS: list[RelationRecord] = [
     _R("e.3", "5*E2(q^5) = E2 + 4*{psi1^10 + psi2^10}"),
     _R("e.4", "55*H2(q^5) = -3*{5*psi2^10 + 7*psi1(q^2)^5*psi1^5 - 21*psi1(q^2)^5*psi2^5 + 30*psi2(q^2)^5*psi1^5} + 76*psi1(q^2)^10 - 78*psi1(q^2)^5*psi2(q^2)^5 + 70*psi2(q^2)^10"),
     _R("e.5", "3000*Delta2(q^5)^2 = 2*{H2^2 - 60*Delta2(1)^2} - H2*psi1^10 - H2(q^5)*{38*psi1^10 + 132*psi1^5*psi2^5 + 37*psi2^10} - 720*Delta2*Delta2(q^5) + 2*H2*{8*psi1(q^2)^10 - 26*psi1(q^2)^5*psi2(q^2)^5 + 3*psi2(q^2)^10} + 10*H2(q^5)*{2*psi1(q^2)^10 - 2*psi1(q^2)*psi2(q^2)^5 + 3*psi2(q^2)^10}",
-       quarantined=True,
        note="contains the constant-argument term Delta2(1)^2, which has no series meaning; evaluated with that term dropped purely to produce a residual report",
        evaluated_rhs="2*H2^2 - H2*psi1^10 - H2(q^5)*{38*psi1^10 + 132*psi1^5*psi2^5 + 37*psi2^10} - 720*Delta2*Delta2(q^5) + 2*H2*{8*psi1(q^2)^10 - 26*psi1(q^2)^5*psi2(q^2)^5 + 3*psi2(q^2)^10} + 10*H2(q^5)*{2*psi1(q^2)^10 - 2*psi1(q^2)*psi2(q^2)^5 + 3*psi2(q^2)^10}"),
     _R("f.1", "12*I15' = (E2 - 5*I15^2 - 2*I15*Delta15 - 13*Delta15^2 + 4*I3^2)*I15",
@@ -83,7 +98,6 @@ RELATIONS: list[RelationRecord] = [
     _R("f.6", "I3^3 = 6*I3*{I15^2 + Delta15^2} - 5*I3(q^5)*{I15^2 + 4*I15*Delta15 - Delta15^2}"),
     _R("f.7", "108*Delta3^3 = I3*{25*I15^2 - 2*I15*Delta15 - Delta15^2} - 5*I3(q^5)*{5*I15^2 + 8*I15*Delta15 + Delta15^2}"),
     _R("f.8", "120*psi2^10 = 45*{I15^2 - 5*Delta15^2} - 6*I3*{14*I15 - 2*I15*Delta15 - 5*Delta15^2} + 3*I3(q^5)*{8*I15 + 64*Delta15 - 5*I3}",
-       quarantined=True,
        note="braces mix weight-1 and weight-2 terms (14*I15, 8*I15 + 64*Delta15 - 5*I3); no principled single repair found, reported with residual"),
     _R("g.1", "24*D[theta(q^5)] = theta(q^5)*{E2 + 4*psi1^10 + 4*psi2^10 - 5*theta(q^5)^4 + 400*Delta4(q^5)^4}",
        note="source omits the factor 24 on the left; forced by the level-4 derivative relation at q^5"),
@@ -98,8 +112,13 @@ RELATIONS: list[RelationRecord] = [
     _R("g.7", "48*psi2(q^4)^10 = 2*{psi1^10 - 36*psi1^5*psi2^5 + 5*psi2^10} + 45*theta(q^5)^2*{theta(q^5)^2 + theta^2} + 2*theta*theta(q^5)*{135*theta(q^5)^2 + 71*theta^2} + 160*Delta4^3*Delta4(q^5) - 504*psi1(q^4)^5*psi1^5 + 360*psi2(q^4)^5*psi2^5"),
 ]
 
-#: labels expected to fail verification, by design
-QUARANTINED_LABELS = tuple(r.label for r in RELATIONS if r.quarantined)
+
+def __getattr__(name: str):
+    """QUARANTINED_LABELS, derived on each read: importing reads no formula."""
+    if name == "QUARANTINED_LABELS":
+        return tuple(r.label for r in RELATIONS if r.quarantined)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: default verification depth per group
 GROUP_ORDERS = {"a": 50, "b": 50, "c": 50, "d": 50, "e": 25, "f": 25, "g": 25}
@@ -120,16 +139,13 @@ def verify_relation(r: RelationRecord, order: int) -> dict:
     first_bad_exponent?, residual?}.  Status is 'verified', 'failed', or
     'quarantined' (a quarantined relation is reported, never asserted).
     """
-    sides = r.formula.split("=")
-    if len(sides) != 2:
-        raise ValueError(f"formula {r.formula!r} needs exactly one '='")
-    lhs_text, rhs_text = sides
     k = formula.Series(order)  # both sides share their powers
-    lhs, rhs = (formula.evaluate(text, k) for text in (lhs_text, r.evaluated_rhs or rhs_text))
+    lhs, rhs = (formula.evaluate(text, k) for text in r.sides)
     bad = (lhs - rhs).first_nonzero(order + Q(1, 2))
     report = {"label": r.label, "formula": r.formula, "order": order}
     if r.note:
         report["note"] = r.note
+    # the weights are read after the series, whose errors a malformed formula raises
     if bad is None:
         report["status"] = "quarantined-but-holds" if r.quarantined else "verified"
     else:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mldelab import catalog
+from mldelab import catalog, formula
 from mldelab import forms as F
 from mldelab.series import InsufficientOrder, LogSeries, PuiseuxSeries, Q
 
@@ -74,6 +74,44 @@ def test_lead_semantics_gives_each_base(order):
         for name, f in built.items():
             label = f"{section}.{name}"
             assert f.base == catalog.entry(label).exponent - gaps[label], label
+
+
+def test_sections_index_the_entries_in_order():
+    assert list(catalog.SECTIONS) == SECTIONS
+    assert [e for es in catalog.SECTIONS.values() for e in es] == list(catalog.ENTRIES.values())
+    assert all(e.section == section for section, es in catalog.SECTIONS.items() for e in es)
+
+
+def test_plain_recipes_are_of_weight_zero():
+    """A solution of the weight-0 family is of weight 0: each of the 68 B
+    entries' recipes, tables and integrals included, carries weight 0
+    alone.  The 24 C entries are depth-1 log pairs a*D(P)/eta^m +
+    b*Q/eta^m, of naive weight 1 ({-1, 1} where the fit sets b = 0), and
+    are out of this check's scope."""
+    read = 0
+    for section in SECTIONS:
+        if section.startswith("B."):
+            weights = catalog._recipe(section, formula.Weights(catalog.polynomial))
+            assert {name: w for name, w in weights.items() if w != {0}} == {}, section
+            read += len(weights)
+    assert read == 68
+
+
+@pytest.mark.parametrize("label, stored, printed", [
+    ("B.e.f1/3", "/Delta3^2", ""),
+    ("B.e.f2/15", "/Delta3^2", ""),
+    ("B.i.f7/15", "*eta^(-28/5)", ""),
+    ("B.m.f4/5", "eta^(-12)", "eta^(-22)"),
+    ("B.n.f-4/5", "eta^(-96/5)", "eta^(-12)"),
+])
+def test_weight_forced_recipes(label, stored, printed):
+    """Each note that says weight forces the recipe: the printed reading is
+    not of weight 0, the stored one is."""
+    e = catalog.entry(label)
+    assert "weight forces it" in e.note and stored in e.formula
+    for text, want in ((e.formula, True), (e.formula.replace(stored, printed), False)):
+        got = formula.evaluate(text, formula.Weights(catalog.polynomial))
+        assert (got == {0}) is want, text
 
 
 def test_fit_steps_are_tight(monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 
+from mldelab import formula, relations
 from mldelab import forms as F
 from mldelab.series import Q
 
@@ -75,10 +76,34 @@ def test_form_lookup():
                                  "Delta4", "psi1", "psi2", "I15", "Delta15"}
 
 
+#: the printed eta-quotient exponents {m: e} of prod eta(q^m)^e
+ETA_QUOTIENTS = {
+    "Delta2": {2: 8, 1: -4},
+    "Delta3": {3: 3, 1: -1},
+    "Delta4": {4: 2, 2: -1},
+    "I15": {3: 2, 5: 2, 1: -1, 15: -1},
+    "Delta15": {1: 2, 15: 2, 3: -1, 5: -1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ETA_QUOTIENTS))
+def test_eta_quotient_forms_weigh_half_their_exponents(name):
+    builder, weight, _ = F.FORM_TABLE[name]
+    assert builder(12) == F.eta_quotient(ETA_QUOTIENTS[name], 12)
+    assert weight == Q(sum(ETA_QUOTIENTS[name].values()), 2)
+
+
 def test_form_weights_consistent():
-    # each catalogued form's q-expansion grid divides 24 * level bound
+    """The table weights make E4 at levels 2, 3, 4 and 5 a homogeneous
+    polynomial of weight 4 in the level's two forms, so with the
+    eta-quotient weights above they pin the weight of every form."""
+    levels = {}
     for name, (builder, weight, level) in F.FORM_TABLE.items():
-        f = builder(5)
-        assert f.grid >= 1
-        assert weight > 0
-        assert level in (2, 3, 4, 5, 15)
+        assert weight > 0 and builder(5).grid >= 1
+        levels.setdefault(level, set()).add(name)
+    assert levels == {2: {"H2", "Delta2"}, 3: {"I3", "Delta3"}, 4: {"theta", "Delta4"},
+                      5: {"psi1", "psi2"}, 15: {"I15", "Delta15"}}
+    for label in ("a.2", "b.2", "c.2", "d.3"):
+        lhs, rhs = relations.get_relation(label).sides
+        assert lhs.strip() == "E4"
+        assert formula.evaluate(rhs, formula.Weights()) == {4}, label

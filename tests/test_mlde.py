@@ -3,10 +3,10 @@ import random
 import pytest
 
 from mldelab import forms as F
-from mldelab.catalog import catalogued_parameters
+from mldelab.catalog import aux_third_order, catalogued_parameters
 from mldelab.classify import CASES, enumerate_case
 from mldelab.mlde import (SHARP_FACTORIZATIONS, InconsistentResonance,
-                          _rational_roots,
+                          _operator_tables, _rational_roots, _steps,
                           MLDEOperator, NoLogNeeded, NotIndicialRoot,
                           Resonance, alphas, build_custom,
                           build_flat, build_sharp, divisors, factored_apply,
@@ -348,6 +348,24 @@ def test_build_custom_monic_requirement():
     ident = PuiseuxSeries.one(8)
     op = build_custom((PuiseuxSeries.zero(8), ident))
     assert op.order == 1
+    with pytest.raises(ValueError, match="monic"):
+        build_custom((ident, ident.scale(2)))
+    # a coefficient off q^0 or off the integer grid is no power series in q
+    for c in (PuiseuxSeries.zero(8, Q(1, 2)), PuiseuxSeries.zero(8, 0, 2)):
+        with pytest.raises(ValueError, match="power series"):
+            build_custom((c, ident))
+
+
+def test_operator_tables_read_the_coefficients():
+    """The direct read of each coefficient's numerators agrees with the
+    general read at q^0 of any base and grid, and stops where it does."""
+    ops = (build_flat(Q(6, 5), 6), build_flat(18, 6), build_sharp(mu(Q(19, 5)), 6),
+           aux_third_order(6))
+    for op in ops:
+        assert [(list(ns), den) for ns, den in _operator_tables(op, 6)] == \
+            [(_steps(c, Q(0), 6), c.den) for c in op.coefficients]
+        with pytest.raises(InsufficientOrder, match=r"justified to q\^7, need > 7"):
+            _operator_tables(op, 7)
 
 
 def test_indicial_covers_flat_only():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mldelab import relations
-from mldelab.series import PuiseuxSeries
+from mldelab import formula, relations
+from mldelab.series import PuiseuxSeries, Q
 
 
 def test_catalog_shape():
@@ -16,6 +16,60 @@ def test_catalog_shape():
 
 def test_quarantine_is_exactly_documented():
     assert sorted(relations.QUARANTINED_LABELS) == ["e.5", "f.8"]
+
+
+def weights(r):
+    """The sets of weights of a record's two sides, as evaluated."""
+    return [formula.evaluate(text, formula.Weights()) for text in r.sides]
+
+
+def test_quarantine_is_derived_from_the_weights():
+    """Every relation equates forms of one weight, except e.5 and f.8:
+    e.5's right-hand side (as evaluated) also carries the weight-16/5 term
+    10*H2(q^5)*{... - 2*psi1(q^2)*psi2(q^2)^5 ...}, and f.8's braces mix
+    weights 1 and 2."""
+    assert relations.QUARANTINED_LABELS == ("e.5", "f.8")
+    assert "QUARANTINED_LABELS" not in vars(relations)  # derived, not stored
+    inhomogeneous = {r.label: weights(r) for r in relations.RELATIONS if r.quarantined}
+    assert inhomogeneous == {"e.5": [{4}, {Q(16, 5), 4}], "f.8": [{2}, {2, 3}]}
+    for r in relations.RELATIONS:
+        if not r.quarantined:
+            lhs, rhs = weights(r)
+            assert lhs == rhs and len(lhs) == 1, r.label
+
+
+def test_no_record_types_a_quarantine():
+    with pytest.raises(TypeError):
+        relations.RelationRecord("z.1", "E4 = E4", quarantined=True)
+    assert relations.RelationRecord("z.1", "E4 = H2^2 + Delta2^2").quarantined is False
+    assert relations.RelationRecord("z.1", "E4 = H2^2 + I3").quarantined is True
+
+
+def test_weights_are_read_once_per_record(monkeypatch):
+    built = []
+
+    class Counted(formula.Weights):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(formula, "Weights", Counted)
+    r = relations.RelationRecord("z.1", "E4 = H2^2 + 192*Delta2^2")
+    assert [relations.verify_relation(r, 5)["status"] for _ in range(3)] == ["verified"] * 3
+    assert len(built) == 2  # one per side, on the first verification only
+
+
+@pytest.mark.parametrize("label, stored, printed", [
+    ("f.3", "{4*I15^2 + 4*I15*Delta15", "{4*I15 + 4*I15*Delta15"),
+    ("g.3", "{psi1^10 + psi2^10}", "{psi1^5 + psi2^5}"),
+])
+def test_weight_forced_repairs(label, stored, printed):
+    """The notes of f.3 and g.3 say weight bookkeeping forces the stored
+    reading: the printed one is not homogeneous, the stored one is."""
+    r = relations.get_relation(label)
+    assert stored in r.formula and "weight" in r.note
+    assert not r.quarantined
+    assert replace(r, formula=r.formula.replace(stored, printed)).quarantined
 
 
 def test_all_relations(relation_reports):
