@@ -3,22 +3,23 @@
 Each entry is a recipe over the named forms (eta, theta, Rogers-Ramanujan
 functions, the level 2-15 quotients) and the polynomial tables shipped in
 ``data/polynomials.json``.  An entry of sections B.a-B.q stores its recipe
-as the printed formula, read by :mod:`mldelab.formula`; an F entry of
-C.a-C.f stores its quasimodular row (P, Q, the eta power and the variable
-order), which also yields its log companion G.  ``build_entry`` evaluates
-a recipe to an exact series; ``verify_entry`` checks the stored printed
-prefix and then applies the entry's designated annihilating operator, and
-reports a failure with its first bad exponent and residual instead of
-raising.
+as the printed formula; an F entry of C.a-C.f stores its quasimodular row
+(P and Q as formulas, and the eta power), which also yields its log
+companion G.  :mod:`mldelab.formula` reads both, under any of its
+semantics.  ``build_entry`` evaluates a recipe to an exact series;
+``verify_entry`` checks the stored printed prefix and then applies the
+entry's designated annihilating operator, and reports a failure with its
+first bad exponent and residual instead of raising.
 
 No recipe carries a normalising constant.  Every plain entry is scaled to
 leading coefficient 1, as a solution of CFT type is, and each quasimodular
 solution a*D(P)/eta^m + b*Q/eta^m takes a : b from the operator's first
-residual that involves them (``_fit``).  The printed sources contain a
-handful of slips (constants, eta powers, signs, swapped formulas); where
-the coefficient recursion, which is ground truth, forces a correction, the
-recipe carries the corrected form and a note records the printed one.
-Every entry is reconciled this way and verified; none is patched silently.
+residual that involves them (``formula.Series.pair``).  The printed
+sources contain a handful of slips (constants, eta powers, signs, swapped
+formulas); where the coefficient recursion, which is ground truth, forces
+a correction, the recipe carries the corrected form and a note records
+the printed one.  Every entry is reconciled this way and verified; none is
+patched silently.
 """
 
 from __future__ import annotations
@@ -153,60 +154,23 @@ def _binary_form(terms, degree: int, values: Sequence[PuiseuxSeries]) -> Puiseux
 
 
 # -- the quasimodular pairs (positive-depth solutions) -----------------
-# Each is F = a*D(P(u,v)) / eta^m + b*Q(u,v) / eta^m with (u,v) either
-# (psi1, psi2) or (psi2, -psi1); the depth-1 structure gives the log
-# companion G = ell*F + 12*A with 12*A = a*(deg P/5) * P(u,v) / eta^m.
-# The operator fixes a : b and the leading coefficient 1 fixes the scale,
-# so neither constant is stored: ``_fit`` derives both.  Each F entry
-# stores its row (P, Q, m, whether (u,v) is (psi2, -psi1)); a table name
-# "u" is the first variable itself, of degree 1.  A row is read through
-# the semantics k (a formula.Series, or formula.Leads for the margin).
-
-#: whole steps past their base at which the fit cuts its two terms
-_FIT_STEPS = 2
-
-
-def _fit(s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries) -> tuple[Fraction, Fraction]:
-    """(a, b) such that flat(s) annihilates a*x + b*y at the first exponent
-    where the residuals of x and y are not both zero; that residual, a few
-    steps past the base, is all the fit reads."""
-    cut = min(x.base, y.base) + _FIT_STEPS
-    rx, ry = (build_flat(s, _FIT_STEPS).apply(t.truncate(cut)) for t in (x, y))
-    e = min(lead for lead in (rx.first_nonzero(), ry.first_nonzero()) if lead)[0]
-    return ry.coefficient(e), -rx.coefficient(e)
-
-
-def _qm(s: Fraction, m: Fraction, p, q, degree: int, k):
-    """(F, G) for P(u,v) = p and Q(u,v) = q of the given degree in (u, v).
-    The terms of a*x + b*y cancel from min(x.base, y.base) up to the
-    entry's exponent, so the scale is read off the whole sum, and those
-    cancelled steps are the section's margin; on leads both are that min."""
-    em = k.pow(k.form("eta"), -m, "eta")
-    x, y = k.mul(k.derive(p), em), k.mul(q, em)
-    if isinstance(k, formula.Leads):
-        return min(x, y), min(x, y)
-    a, b = _fit(s, x, y)
-    f = x * a + y * b
-    lead = f.leading()[1]
-    f, a = f.scale(1 / lead), a / lead
-    twelve_a = p * em * (a * Q(degree, 5))
-    return f, LogSeries(twelve_a, f.truncate(twelve_a.truncation))
+# Each is F = a*D(P) / eta^m + b*Q / eta^m for P of weight m/2 - 1 and Q
+# of weight m/2 + 1 in psi1 and psi2 (or Q = P, where the fit finds b = 0);
+# the depth-1 structure gives the log companion G = ell*F + 12*A with
+# 12*A = a*(m/2 - 1) * P / eta^m.  The operator fixes a : b and the leading
+# coefficient 1 fixes the scale, so neither constant is stored:
+# ``formula.Series.pair`` derives both.  Each F entry stores its row
+# (P, Q, m), P and Q as formula text.
 
 
 def _pair(e: CatalogEntry, k):
-    """(F, G) for an entry's quasimodular row; P and Q that name the same
-    table are evaluated once."""
-    pname, qname, m, swapped = e.quasimodular
-    p1, p2 = k.form("psi1"), k.form("psi2")
-    u, v = (p2, k.neg(p1)) if swapped else (p1, p2)
-
-    def value(name: str):
-        return u if name == "u" else k.table(name, (u, v))
-
-    p = value(pname)
-    q = p if qname == pname else value(qname)
-    degree = 1 if pname == "u" else polynomial(pname)["degree"]
-    return _qm(e.s, m, p, q, degree, k)
+    """(F, G) for an entry's quasimodular row under the semantics k; a Q
+    that reads as P is evaluated once."""
+    ptext, qtext, m = e.quasimodular
+    p = formula.evaluate(ptext, k)
+    q = p if qtext == ptext else formula.evaluate(qtext, k)
+    em = k.pow(k.form("eta"), -m, "eta")
+    return k.pair(e.s, m / 2 - 1, k.mul(k.derive(p), em), k.mul(q, em), k.mul(p, em))
 
 
 # -- entry metadata ----------------------------------------------------
@@ -220,9 +184,9 @@ class CatalogEntry:
     #: the recipe as printed (with its slips corrected), read by
     #: ``formula.evaluate``; empty for a quasimodular pair
     formula: str = ""
-    #: a quasimodular F entry's row (P, Q, eta power m, read at
-    #: (psi2, -psi1)), read by ``_pair``
-    quasimodular: Optional[tuple[str, str, Fraction, bool]] = None
+    #: a quasimodular F entry's row (P, Q, eta power m), P and Q as
+    #: formulas in psi1 and psi2, read by ``_pair``
+    quasimodular: Optional[tuple[str, str, Fraction]] = None
     operator: str = "flat"      # flat | aux3 | log
     note: str = ""
 
@@ -443,57 +407,57 @@ _ent("B.q.f19/30", "-8/5", "49/60",
           "force the psi2^5 companion bracket")
 
 _ent("C.a.f0", "-318/5", "13/5", (1, 260, 30056, 2119676, 104823121),
-     quasimodular=("F1", "F2", Q(312, 5), False),
+     quasimodular=("F1(psi1, psi2)", "F2(psi1, psi2)", Q(312, 5)),
      note="printed first term (constant 50841895104, eta^(192/5)) repeats "
           "the neighbouring family; refitted constant over eta^(312/5)")
 _ent("C.a.f4/5", "-318/5", "17/5", (1, 236, 25306, 1680916, 79143742),
-     quasimodular=("F1", "F2", Q(312, 5), True),
+     quasimodular=("F1(psi2, -psi1)", "F2(psi2, -psi1)", Q(312, 5)),
      note="printed constants give leading coefficient -1; negated pair fits")
 _ent("C.a.g0", "-318/5", "13/5", None, operator="log")
 _ent("C.a.g4/5", "-318/5", "17/5", None, operator="log")
 
 _ent("C.b.f0", "-198/5", "8/5", (1, 144, 8880, 331840, 8770284),
-     quasimodular=("F3", "F4", Q(192, 5), True),
+     quasimodular=("F3(psi2, -psi1)", "F4(psi2, -psi1)", Q(192, 5)),
      note="printed f0 and f4/5 formulas are exchanged (exponent classes "
           "and exact fit force the swap)")
 _ent("C.b.f4/5", "-198/5", "12/5", (1, "380/3", 7164, 251344, "18958205/3"),
-     quasimodular=("F3", "F4", Q(192, 5), False),
+     quasimodular=("F3(psi1, psi2)", "F4(psi1, psi2)", Q(192, 5)),
      note="printed f0 and f4/5 formulas are exchanged")
 _ent("C.b.g0", "-198/5", "8/5", None, operator="log")
 _ent("C.b.g4/5", "-198/5", "12/5", None, operator="log")
 
 _ent("C.c.f0", "-138/5", "11/10", (1, 88, 3256, 74360, 1232814),
-     quasimodular=("C.c.P", "C.c.Q", Q(132, 5), True),
+     quasimodular=("C.c.P(psi2, -psi1)", "C.c.Q(psi2, -psi1)", Q(132, 5)),
      note="printed f0 and f4/5 formulas are exchanged (exponent classes "
           "and exact fit force the swap)")
 _ent("C.c.f4/5", "-138/5", "19/10", (1, 76, 2584, 55568, 876329),
-     quasimodular=("C.c.P", "C.c.Q", Q(132, 5), False),
+     quasimodular=("C.c.P(psi1, psi2)", "C.c.Q(psi1, psi2)", Q(132, 5)),
      note="printed f0 and f4/5 formulas are exchanged")
 _ent("C.c.g0", "-138/5", "11/10", None, operator="log")
 _ent("C.c.g4/5", "-138/5", "19/10", None, operator="log")
 
 _ent("C.d.f0", "-78/5", "3/5", (1, 36, 576, 6312, 53739),
-     quasimodular=("C.d.P", "C.d.Q", Q(72, 5), False))
+     quasimodular=("C.d.P(psi1, psi2)", "C.d.Q(psi1, psi2)", Q(72, 5)))
 _ent("C.d.f4/5", "-78/5", "7/5", (1, "284/9", 476, 4888, "117116/3"),
-     quasimodular=("C.d.P", "C.d.Q", Q(72, 5), True),
+     quasimodular=("C.d.P(psi2, -psi1)", "C.d.Q(psi2, -psi1)", Q(72, 5)),
      note="printed formula lacks the derivative on P (weight forces it)")
 _ent("C.d.g0", "-78/5", "3/5", None, operator="log")
 _ent("C.d.g4/5", "-78/5", "7/5", None, operator="log")
 
-# P = Q = u, of degree 1; the fit finds b = 0
+# P = Q, and the fit finds b = 0
 _ent("C.e.f0", "-18/5", "1/10", (1, 0, 6, 16, 36, 72),
-     quasimodular=("u", "u", Q(12, 5), True))
+     quasimodular=("psi2", "psi2", Q(12, 5)))
 _ent("C.e.f4/5", "-18/5", "9/10", (1, "8/3", 6, 16, "101/3", 72),
-     quasimodular=("u", "u", Q(12, 5), False))
+     quasimodular=("psi1", "psi1", Q(12, 5)))
 _ent("C.e.g0", "-18/5", "1/10", None, operator="log")
 _ent("C.e.g4/5", "-18/5", "9/10", None, operator="log")
 
 # P = Q, and the fit finds b = 0
 _ent("C.f.f0", "42/5", "2/5", (1, 36, 436, 3536, 21912, 113760),
-     quasimodular=("psi-bracket-2", "psi-bracket-2", Q(48, 5), False),
+     quasimodular=("C.f.P2(psi1, psi2)", "C.f.P2(psi1, psi2)", Q(48, 5)),
      note="printed constant 28 makes the leading coefficient 57/7; 228 forced")
 _ent("C.f.f1/5", "42/5", "3/5", (1, 25, 276, "8379/4", 12481, 62859),
-     quasimodular=("psi-bracket-1", "psi-bracket-1", Q(48, 5), False))
+     quasimodular=("C.f.P1(psi1, psi2)", "C.f.P1(psi1, psi2)", Q(48, 5)))
 _ent("C.f.g0", "42/5", "2/5", None, operator="log")
 _ent("C.f.g1/5", "42/5", "3/5", None, operator="log")
 
@@ -518,7 +482,7 @@ def _recipe(section: str, k) -> dict:
     entry scaled to leading coefficient 1, read in order so that a later
     formula reads the earlier: a formula by ``formula.evaluate``, and a
     quasimodular row by ``_pair``, which also gives the G companion (the
-    entry that holds neither)."""
+    entry that holds neither).  Every semantics reads every section."""
     for e in SECTIONS[section]:
         name = e.label[len(section) + 1:]
         if e.formula:
@@ -536,8 +500,8 @@ def _lead_gaps(section: str) -> dict[str, Fraction]:
     Every form is exact n + 1 steps past its base, and no operation a
     recipe applies shortens that reach past the result's base, so each
     entry comes out exact to base + n + 1.  What a recipe loses is
-    cancellation: where its terms cancel, as ``_qm``'s a*x + b*y does from
-    min(x.base, y.base) up to the entry's exponent, the entry leads at
+    cancellation: where its terms cancel, as a quasimodular a*x + b*y does
+    from min(x.base, y.base) up to the entry's exponent, the entry leads at
     exponent > base.  The bases do not depend on n, so the recipe is read
     once on leads (``formula.Leads``), which track the base alone and build
     no coefficient."""
@@ -642,11 +606,6 @@ def verify_all(order: Optional[int] = None) -> list[dict]:
 
 # -- fundamental systems ----------------------------------------------
 
-#: s -> the exponent of the one Frobenius log solution that completes the
-#: catalogued system (B.c's plain entries are three)
-_EXTRA_LOG: dict[Fraction, Fraction] = {Q(-6, 5): Q(0)}
-
-
 def _system_labels(s: Fraction) -> list[str]:
     """Every entry at s except a third-order companion's."""
     return [lb for lb, e in ENTRIES.items() if e.s == s and e.operator != "aux3"]
@@ -657,23 +616,24 @@ def catalogued_parameters() -> tuple[Fraction, ...]:
 
 
 def has_plain_system(s: QLike) -> bool:
-    """True when the four catalogued solutions are all plain power series."""
-    s = rat(s)
-    names = _system_labels(s)
-    return (bool(names) and s not in _EXTRA_LOG
-            and all(ENTRIES[lb].operator == "flat" for lb in names))
+    """True when four catalogued solutions are all plain power series."""
+    names = _system_labels(rat(s))
+    return len(names) == 4 and all(ENTRIES[lb].operator == "flat" for lb in names)
 
 
 def fundamental_system(s: QLike, order: int) -> list[tuple[Fraction, SeriesLike]]:
-    """Four independent solutions as (leading exponent, series), sorted."""
+    """Four independent solutions as (leading exponent, series), sorted.  A
+    system of three catalogued entries (B.c's) is completed by the
+    Frobenius log solution at the double indicial root."""
     s = rat(s)
     names = _system_labels(s)
     if not names:
         raise NotInCandidateList(f"no catalogued system for s = {s}")
     out = [(ENTRIES[lb].exponent, build_entry(lb, order)) for lb in names]
-    if s in _EXTRA_LOG:
-        log = frobenius_solve_log(build_flat(s, order), _EXTRA_LOG[s], order)
-        out.append((_EXTRA_LOG[s], log))
+    if len(out) < 4:
+        roots = flat_indicial_roots(s)
+        double = next(r for r in roots if roots.count(r) > 1)
+        out.append((double, frobenius_solve_log(build_flat(s, order), double, order)))
     return sorted(out, key=lambda t: t[0])
 
 

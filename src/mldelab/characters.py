@@ -41,8 +41,8 @@ from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from . import forms as F
-from .mlde import (build_flat, build_sharp, flat_indicial_roots,
-                   frobenius_solve, mu)
+from .mlde import (SHARP_FACTORIZATIONS, build_flat, build_sharp, flat_indicial_roots,
+                   frobenius_solve)
 from .series import PuiseuxSeries, Q, QLike, rat, report_failure
 
 
@@ -508,8 +508,8 @@ def verify_case(name: str, order: int = 25,
         return report_failure(report, detail=f"exponents {exps} != tabulated {d.ramond_exponents}")
     op = build_flat(d.s, order)
     ops = [("flat", op)]
-    if name == "E8":
-        ops.append(("sharp", build_sharp(mu(Q(19, 5)), order)))
+    if d.s in SHARP_FACTORIZATIONS:
+        ops.append(("sharp", build_sharp(SHARP_FACTORIZATIONS[d.s][0], order)))
     for e, chi in chars:
         window = e + order + Q(1, 2)
         lead = chi.coefficient(e)

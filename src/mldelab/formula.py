@@ -30,6 +30,12 @@ base exponents alone, which do not depend on the order: products add them,
 sums take the smaller (a scalar sits at q^0), powers and substitutions
 scale them, and every other operation keeps them.  :class:`Weights`
 evaluates to the set of modular weights that an expression carries.
+
+Each semantics also reads a catalog's quasimodular pair through ``pair``:
+given x = D(P)/eta^m, y = Q/eta^m and z = P/eta^m, with P of weight w,
+``Series`` fits the solution F = a*x + b*y of the flat operator and its
+log companion G = ell*F + w*a*z, and the bookkeeping semantics return
+x + y and x + y + z.
 """
 
 from __future__ import annotations
@@ -49,6 +55,20 @@ _TOKEN = re.compile(r"f-?\d+(?:/\d+)?(?![\w/])|\d+|[A-Za-z]\w*(?:\.\w+)*|\S")
 _FORMS = {name: (builder, weight) for name, (builder, weight, _) in F.FORM_TABLE.items()}
 _FORMS.update(eta=(F.eta, Q(1, 2)), E2=(F.eisenstein_e2, Q(2)), E4=(F.eisenstein_e4, Q(4)),
               E6=(F.eisenstein_e6, Q(6)))
+
+
+#: whole steps past their base at which ``Series.pair`` cuts its two terms
+_FIT_STEPS = 2
+
+
+def _fit(s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries) -> tuple[Fraction, Fraction]:
+    """(a, b) such that flat(s) annihilates a*x + b*y at the first exponent
+    where the residuals of x and y are not both zero; that residual, a few
+    steps past the base, is all the fit reads."""
+    cut = min(x.base, y.base) + _FIT_STEPS
+    rx, ry = (build_flat(s, _FIT_STEPS).apply(t.truncate(cut)) for t in (x, y))
+    e = min(lead for lead in (rx.first_nonzero(), ry.first_nonzero()) if lead)[0]
+    return ry.coefficient(e), -rx.coefficient(e)
 
 
 class Series:
@@ -115,6 +135,20 @@ class Series:
             return x.scale(1 / x.leading()[1])
         return x if isinstance(x, LogSeries) else PuiseuxSeries.one(self.order)
 
+    def pair(self, s: Fraction, w: Fraction, x: PuiseuxSeries, y: PuiseuxSeries,
+             z: PuiseuxSeries) -> tuple[PuiseuxSeries, LogSeries]:
+        """(F, G): the solution F = a*x + b*y of flat(s), with a : b from
+        ``_fit`` and the scale from leading coefficient 1, and its depth-1
+        log companion G = ell*F + w*a*z.  The terms of F cancel from
+        min(x.base, y.base) up to its exponent, so the scale is read off
+        the whole sum."""
+        a, b = _fit(s, x, y)
+        f = x * a + y * b
+        lead = f.leading()[1]
+        f, a = f.scale(1 / lead), a / lead
+        plain = z * (w * a)
+        return f, LogSeries(plain, f.truncate(plain.truncation))
+
 
 class _Bookkeeping:
     """Leads and Weights: one value per expression, no coefficient built.  A
@@ -130,6 +164,11 @@ class _Bookkeeping:
 
     def _same(self, x, *_):
         return x
+
+    def pair(self, s, w, x, y, z):
+        """(x + y, x + y + z): what the F and G of ``Series.pair`` carry."""
+        f = self.add(x, y)
+        return f, self.add(f, z)
 
 
 class Leads(_Bookkeeping):

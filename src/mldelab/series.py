@@ -355,9 +355,6 @@ class PuiseuxSeries:
                 acc[at] = [a + x for a, x in zip(acc[at], xs)]
         return PuiseuxSeries.from_ints(base, grid, acc, den)._normalized()
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self) -> "PuiseuxSeries":
         return PuiseuxSeries.from_ints(self.base, self.grid, [-x for x in self.nums], self.den)
 
@@ -365,9 +362,6 @@ class PuiseuxSeries:
         if isinstance(other, (int, Fraction)):
             return self.__add__(-rat(other))
         return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def scale(self, k: QLike) -> "PuiseuxSeries":
         k = rat(k)

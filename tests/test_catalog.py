@@ -86,8 +86,8 @@ def test_plain_recipes_are_of_weight_zero():
     """A solution of the weight-0 family is of weight 0: each of the 68 B
     entries' recipes, tables and integrals included, carries weight 0
     alone.  The 24 C entries are depth-1 log pairs a*D(P)/eta^m +
-    b*Q/eta^m, of naive weight 1 ({-1, 1} where the fit sets b = 0), and
-    are out of this check's scope."""
+    b*Q/eta^m and their companions, of naive weight 1 and -1;
+    test_quasimodular_pairs_weigh_one_and_minus_one pins them."""
     read = 0
     for section in SECTIONS:
         if section.startswith("B."):
@@ -95,6 +95,44 @@ def test_plain_recipes_are_of_weight_zero():
             assert {name: w for name, w in weights.items() if w != {0}} == {}, section
             read += len(weights)
     assert read == 68
+
+
+def test_weights_read_every_section():
+    """Weights reads every entry of all 23 sections, the quasimodular pairs
+    and their log companions included."""
+    read = [name for section in SECTIONS
+            for name in catalog._recipe(section, formula.Weights(catalog.polynomial))]
+    assert len(read) == 92
+
+
+#: the F entries of the quasimodular rows
+QUASIMODULAR = [label for label, e in catalog.ENTRIES.items() if e.quasimodular]
+
+
+def test_quasimodular_rows_weigh_as_their_eta_power():
+    """A row's P weighs m/2 - 1, the weight its log companion's
+    coefficient (m/2 - 1)*a is read at, and its Q weighs m/2 + 1, that of
+    D(P), unless Q is P."""
+    def weigh(text):
+        return formula.evaluate(text, formula.Weights(catalog.polynomial))
+
+    assert len(QUASIMODULAR) == 12
+    for label in QUASIMODULAR:
+        ptext, qtext, m = catalog.entry(label).quasimodular
+        assert weigh(ptext) == {m / 2 - 1}, label
+        if qtext != ptext:
+            assert weigh(qtext) == {m / 2 + 1}, label
+
+
+def test_quasimodular_pairs_weigh_one_and_minus_one():
+    """Each F entry a*D(P)/eta^m + b*Q/eta^m weighs 1, and -1 too where
+    Q is P (C.e and C.f); each G companion adds P/eta^m, of weight -1."""
+    for section in (s for s in SECTIONS if s.startswith("C.")):
+        weights = catalog._recipe(section, formula.Weights(catalog.polynomial))
+        want_f = {1} if section < "C.e" else {-1, 1}
+        assert len(weights) == 4
+        for name, w in weights.items():
+            assert w == (want_f if f"{section}.{name}" in QUASIMODULAR else {-1, 1}), name
 
 
 @pytest.mark.parametrize("label, stored, printed", [
@@ -118,8 +156,8 @@ def test_fit_steps_are_tight(monkeypatch):
     """One step fewer, the quasimodular fit finds no residual below its cut
     in any C section (at _FIT_STEPS every C entry verifies, as
     test_verify_all_at_low_orders shows)."""
-    assert catalog._FIT_STEPS == 2
-    monkeypatch.setattr(catalog, "_FIT_STEPS", 1)
+    assert formula._FIT_STEPS == 2
+    monkeypatch.setattr(formula, "_FIT_STEPS", 1)
     for section in (s for s in SECTIONS if s.startswith("C.")):
         with pytest.raises(ValueError):
             catalog._build_section.__wrapped__(section, catalog.section_build_order(section, 8))
@@ -179,6 +217,16 @@ def test_fundamental_systems_complete():
         assert len(system) == 4
     with pytest.raises(catalog.NotInCandidateList):
         catalog.fundamental_system(Q(1, 7), 10)
+
+
+def test_three_entry_system_takes_the_double_root_log_solution():
+    """Only B.c catalogues three solutions; the fourth is the Frobenius log
+    solution at its double indicial root 0, so its system is not plain."""
+    short = [s for s in catalog.catalogued_parameters() if len(catalog._system_labels(s)) < 4]
+    assert short == [Q(-6, 5)]
+    exponent, log = catalog.fundamental_system(Q(-6, 5), 10)[1]
+    assert exponent == 0 and isinstance(log, LogSeries)
+    assert not catalog.has_plain_system(Q(-6, 5))
 
 
 def test_exponent_sums_are_one():
@@ -379,8 +427,8 @@ STORED_CONSTANTS = {
     "C.d.f4/5": ("C.d.P", "C.d.Q", Q(72, 5), True, Q(-1, 23436), Q(1, 19530)),
     "C.e.f0": ("u", "u", Q(12, 5), True, Q(5), Q(0)),
     "C.e.f4/5": ("u", "u", Q(12, 5), False, Q(5, 3), Q(0)),
-    "C.f.f0": ("psi-bracket-2", "psi-bracket-2", Q(48, 5), False, Q(5, 228), Q(0)),
-    "C.f.f1/5": ("psi-bracket-1", "psi-bracket-1", Q(48, 5), False, Q(5, 912), Q(0)),
+    "C.f.f0": ("C.f.P2", "C.f.P2", Q(48, 5), False, Q(5, 228), Q(0)),
+    "C.f.f1/5": ("C.f.P1", "C.f.P1", Q(48, 5), False, Q(5, 912), Q(0)),
 }
 
 
