@@ -2,11 +2,12 @@
 
 Each entry is a recipe over the named forms (eta, theta, Rogers-Ramanujan
 functions, the level 2-15 quotients) and the polynomial tables shipped in
-``data/polynomials.json``.  An entry of sections B.a-B.q stores its recipe
-as the printed formula; an F entry of C.a-C.f stores its quasimodular row
-(P and Q as formulas, and the eta power), which also yields its log
-companion G.  :mod:`mldelab.formula` reads both, under any of its
-semantics.  ``build_entry`` evaluates a recipe to an exact series;
+``data/polynomials.json``, which this module loads and :mod:`mldelab.formula`
+evaluates.  An entry of sections B.a-B.q stores its recipe as the printed
+formula; an F entry of C.a-C.f stores its quasimodular row (P and Q as
+formulas, and the eta power), which also yields its log companion G, whose
+entry is derived from the F entry.  :mod:`mldelab.formula` reads both,
+under any of its semantics.  ``build_entry`` evaluates a recipe to an exact series;
 ``verify_entry`` checks the stored printed prefix and then applies the
 entry's designated annihilating operator, and reports a failure with its
 first bad exponent and residual instead of raising.
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import ceil, floor, gcd
-from typing import Optional, Sequence
+from math import ceil, floor
+from typing import Optional
 
 from . import formula
 from . import forms as F
@@ -80,79 +81,6 @@ def polynomial(name: str) -> dict:
         raise UnknownLabel(f"unknown polynomial {name!r}") from None
 
 
-def evaluate_polynomial(name: str, values: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
-    """Evaluate a stored polynomial at the given series, one per variable.
-
-    A homogeneous binary form (every two-variable table: degree up to 161,
-    exponents stepping by 5) is evaluated by Horner's rule in a ratio, one
-    product per term, with no power chain; see ``_binary_form``.  Any other
-    table takes each distinct power of a variable once, in increasing
-    order, by one product of the next lower stored power and the power of
-    the gap (a fresh ``pow`` only when that gap is not stored), and one
-    product per term.
-    """
-    rec = polynomial(name)
-    if len(values) != len(rec["variables"]):
-        raise ValueError(f"{name} expects {len(rec['variables'])} values")
-    terms = rec["terms"]
-    degrees = {sum(exps) for _, exps in terms}
-    if len(values) == 2 and len(degrees) == 1:
-        return _binary_form(terms, degrees.pop(), values)
-    powers: list[dict[int, PuiseuxSeries]] = []
-    for i, x in enumerate(values):
-        row, prev = {1: x}, 1
-        for e in sorted({exps[i] for _, exps in terms if exps[i] > 1}):
-            gap = e - prev
-            row[e] = row[prev] * row[gap] if gap in row else x.pow(e)
-            prev = e
-        powers.append(row)
-    acc = None
-    for coeff, exps in terms:
-        term: Optional[PuiseuxSeries] = None
-        for i, e in enumerate(exps):
-            if e:
-                term = powers[i][e] if term is None else term * powers[i][e]
-        term = PuiseuxSeries.make(0, [coeff]) if term is None else term.scale(coeff)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _binary_form(terms, degree: int, values: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
-    """sum c * x^a * y^b over terms with a + b = degree, as
-
-        lo^(degree - e0) * hi^e0 * H(z),  z = (hi / lo)^g,  H(z) = sum c_k z^k,
-
-    where lo is the variable of smaller base exponent, hi the other, e0 the
-    least exponent of hi and g the gcd of its steps.  H is evaluated by
-    Horner's rule: one product by z and one constant add per step.
-
-    Choosing lo by base gives z a non-negative leading exponent, so no step
-    loses relative precision: the result is exact to the smaller relative
-    precision of the two inputs past its base, which is exactly the
-    truncation of the term-by-term sum when both carry the same relative
-    precision (as every recipe's inputs do) and never past it otherwise.
-    lo needs a nonzero stored leading coefficient, as every named form has.
-    """
-    lo = 0 if values[0].base <= values[1].base else 1
-    hi = 1 - lo
-    by_hi = {exps[hi]: c for c, exps in terms}
-    e0 = min(by_hi)
-    g = gcd(*(e - e0 for e in by_hi)) or 1
-    cs = [by_hi.get(e, 0) for e in range(e0, max(by_hi) + 1, g)]
-    prefactor = None
-    for i, e in ((lo, degree - e0), (hi, e0)):
-        if e:
-            p = values[i].pow(e)
-            prefactor = p if prefactor is None else prefactor * p
-    if len(cs) == 1:
-        return prefactor.scale(cs[0])
-    z = (values[hi] * values[lo].invert()).pow(g)
-    h = z.scale(cs[-1])
-    for c in reversed(cs[1:-1]):
-        h = (h + c) * z
-    return prefactor * (h + cs[0])
-
-
 # -- the quasimodular pairs (positive-depth solutions) -----------------
 # Each is F = a*D(P) / eta^m + b*Q / eta^m for P of weight m/2 - 1 and Q
 # of weight m/2 + 1 in psi1 and psi2 (or Q = P, where the fit finds b = 0);
@@ -169,7 +97,7 @@ def _pair(e: CatalogEntry, k):
     ptext, qtext, m = e.quasimodular
     p = formula.evaluate(ptext, k)
     q = p if qtext == ptext else formula.evaluate(qtext, k)
-    em = k.pow(k.form("eta"), -m, "eta")
+    em = k.pow(k.form("eta"), -m)
     return k.pair(e.s, m / 2 - 1, k.mul(k.derive(p), em), k.mul(q, em), k.mul(p, em))
 
 
@@ -413,8 +341,6 @@ _ent("C.a.f0", "-318/5", "13/5", (1, 260, 30056, 2119676, 104823121),
 _ent("C.a.f4/5", "-318/5", "17/5", (1, 236, 25306, 1680916, 79143742),
      quasimodular=("F1(psi2, -psi1)", "F2(psi2, -psi1)", Q(312, 5)),
      note="printed constants give leading coefficient -1; negated pair fits")
-_ent("C.a.g0", "-318/5", "13/5", None, operator="log")
-_ent("C.a.g4/5", "-318/5", "17/5", None, operator="log")
 
 _ent("C.b.f0", "-198/5", "8/5", (1, 144, 8880, 331840, 8770284),
      quasimodular=("F3(psi2, -psi1)", "F4(psi2, -psi1)", Q(192, 5)),
@@ -423,8 +349,6 @@ _ent("C.b.f0", "-198/5", "8/5", (1, 144, 8880, 331840, 8770284),
 _ent("C.b.f4/5", "-198/5", "12/5", (1, "380/3", 7164, 251344, "18958205/3"),
      quasimodular=("F3(psi1, psi2)", "F4(psi1, psi2)", Q(192, 5)),
      note="printed f0 and f4/5 formulas are exchanged")
-_ent("C.b.g0", "-198/5", "8/5", None, operator="log")
-_ent("C.b.g4/5", "-198/5", "12/5", None, operator="log")
 
 _ent("C.c.f0", "-138/5", "11/10", (1, 88, 3256, 74360, 1232814),
      quasimodular=("C.c.P(psi2, -psi1)", "C.c.Q(psi2, -psi1)", Q(132, 5)),
@@ -433,24 +357,18 @@ _ent("C.c.f0", "-138/5", "11/10", (1, 88, 3256, 74360, 1232814),
 _ent("C.c.f4/5", "-138/5", "19/10", (1, 76, 2584, 55568, 876329),
      quasimodular=("C.c.P(psi1, psi2)", "C.c.Q(psi1, psi2)", Q(132, 5)),
      note="printed f0 and f4/5 formulas are exchanged")
-_ent("C.c.g0", "-138/5", "11/10", None, operator="log")
-_ent("C.c.g4/5", "-138/5", "19/10", None, operator="log")
 
 _ent("C.d.f0", "-78/5", "3/5", (1, 36, 576, 6312, 53739),
      quasimodular=("C.d.P(psi1, psi2)", "C.d.Q(psi1, psi2)", Q(72, 5)))
 _ent("C.d.f4/5", "-78/5", "7/5", (1, "284/9", 476, 4888, "117116/3"),
      quasimodular=("C.d.P(psi2, -psi1)", "C.d.Q(psi2, -psi1)", Q(72, 5)),
      note="printed formula lacks the derivative on P (weight forces it)")
-_ent("C.d.g0", "-78/5", "3/5", None, operator="log")
-_ent("C.d.g4/5", "-78/5", "7/5", None, operator="log")
 
 # P = Q, and the fit finds b = 0
 _ent("C.e.f0", "-18/5", "1/10", (1, 0, 6, 16, 36, 72),
      quasimodular=("psi2", "psi2", Q(12, 5)))
 _ent("C.e.f4/5", "-18/5", "9/10", (1, "8/3", 6, 16, "101/3", 72),
      quasimodular=("psi1", "psi1", Q(12, 5)))
-_ent("C.e.g0", "-18/5", "1/10", None, operator="log")
-_ent("C.e.g4/5", "-18/5", "9/10", None, operator="log")
 
 # P = Q, and the fit finds b = 0
 _ent("C.f.f0", "42/5", "2/5", (1, 36, 436, 3536, 21912, 113760),
@@ -458,8 +376,12 @@ _ent("C.f.f0", "42/5", "2/5", (1, 36, 436, 3536, 21912, 113760),
      note="printed constant 28 makes the leading coefficient 57/7; 228 forced")
 _ent("C.f.f1/5", "42/5", "3/5", (1, 25, 276, "8379/4", 12481, 62859),
      quasimodular=("C.f.P1(psi1, psi2)", "C.f.P1(psi1, psi2)", Q(48, 5)))
-_ent("C.f.g0", "42/5", "2/5", None, operator="log")
-_ent("C.f.g1/5", "42/5", "3/5", None, operator="log")
+
+# each quasimodular F entry's log companion G (``_pair``) shares its s and
+# exponent, and follows the section's F entries
+for es in SECTIONS.values():
+    es += [CatalogEntry(f"{e.section}.g{e.label[len(e.section) + 2:]}", e.s, e.exponent,
+                        None, operator="log") for e in es if e.quasimodular]
 
 ENTRIES: dict[str, CatalogEntry] = {e.label: e for es in SECTIONS.values() for e in es}
 
@@ -528,7 +450,7 @@ def section_build_order(section: str, order: int) -> int:
 
 @lru_cache(maxsize=64)
 def _build_section(section: str, n: int) -> dict:
-    return _recipe(section, formula.Series(n, evaluate_polynomial))
+    return _recipe(section, formula.Series(n, polynomial))
 
 
 def _reaching(label: str, f: SeriesLike, order: int) -> SeriesLike:

@@ -353,9 +353,9 @@ def deligne_table() -> tuple[DeligneDatum, ...]:
         if dim is not None:
             assert _dim_of(h) == dim
         exps = tuple(sorted(set(flat_indicial_roots(s))))
-        if name == "E8":
-            # only a two-dimensional space of characters arises here
-            exps = (-s / 24 - Q(1, 20), -s / 24 + Q(3, 4))
+        if s in SHARP_FACTORIZATIONS:
+            # only the characters of the sharp(t) factor arise: its roots r^2 - r/6 = t
+            exps = tuple(r for r in exps if r * r - r / 6 == SHARP_FACTORIZATIONS[s][0])
         out.append(DeligneDatum(
             name=name, h_vee=h, s=s, central_charge_W=s,
             ramond_exponents=exps, dim_g=dim, verification=mode))

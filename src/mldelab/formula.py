@@ -23,9 +23,13 @@ the flat operator at s from the root alpha.
 Anything else raises a ValueError that names the offending token.
 
 The reader takes every atom and applies every operation through a
-semantics object.  :class:`Series` evaluates at one order: each form is
-exact order + 1 steps past its base, and no operation of the grammar
-shortens that reach past the result's base.  :class:`Leads` evaluates to
+semantics object.  Each reads a TABLE call from the same polynomial store
+as the sum of its terms c * prod x^e over the arguments x (no other module
+reads a table's terms).  :class:`Series` evaluates at one order: each form
+is exact order + 1 steps past its base, and no operation of the grammar
+shortens that reach past the result's base.  It builds each power x^r
+once, keyed by the value x, and reads a homogeneous two-variable table by
+Horner's rule in a ratio (``Series._binary_form``).  :class:`Leads` evaluates to
 base exponents alone, which do not depend on the order: products add them,
 sums take the smaller (a scalar sits at q^0), powers and substitutions
 scale them, and every other operation keeps them.  :class:`Weights`
@@ -43,6 +47,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from typing import Callable, Optional
 
 from . import forms as F
@@ -71,17 +76,50 @@ def _fit(s: Fraction, x: PuiseuxSeries, y: PuiseuxSeries) -> tuple[Fraction, Fra
     return ry.coefficient(e), -rx.coefficient(e)
 
 
-class Series:
-    """Values are scalars (int, Fraction) and series with every form built
-    to `order`.  Within one instance each ``NAME^r`` is built once, and an
-    integer power is the product of two built ones where it can be.
-    `table(name, values)` evaluates a polynomial table; `siblings` holds
-    the entries a LABEL reads."""
+def _sum_of_products(k, terms, args):
+    """sum c * prod a^e over the terms (c, exps) of a table, a^e over the
+    nonzero exponents, under the semantics k."""
+    return reduce(k.add, (reduce(k.mul, (k.pow(a, e) for a, e in zip(args, exps) if e),
+                                 k.number(c)) for c, exps in terms))
 
-    def __init__(self, order: int, table: Optional[Callable] = None):
-        self.order, self.table = order, table
-        self.siblings: dict = {}
-        self._powers: dict[str, dict] = {}
+
+class _Semantics:
+    """What every semantics shares: the polynomial store, `polynomial(name)`
+    -> a table's record, and `siblings`, the entries a LABEL reads.  `pair`
+    and `_same` serve the bookkeeping semantics Leads and Weights, which
+    build no coefficient."""
+
+    def __init__(self, polynomial: Optional[Callable] = None):
+        self.polynomial, self.siblings = polynomial, {}
+
+    def _terms(self, name: str, args) -> list:
+        rec = self.polynomial(name)
+        if len(args) != len(rec["variables"]):
+            raise ValueError(f"{name} expects {len(rec['variables'])} values")
+        return rec["terms"]
+
+    def table(self, name: str, args):
+        return _sum_of_products(self, self._terms(name, args), args)
+
+    def _same(self, x, *_):
+        return x
+
+    def pair(self, s, w, x, y, z):
+        """(x + y, x + y + z): what the F and G of ``Series.pair`` carry."""
+        f = self.add(x, y)
+        return f, self.add(f, z)
+
+
+class Series(_Semantics):
+    """Values are scalars (int, Fraction) and series with every form built
+    to `order`.  Within one instance each power x^r is built once, keyed by
+    the series x itself, and an integer power is the product of two built
+    ones where it can be."""
+
+    def __init__(self, order: int, polynomial: Optional[Callable] = None):
+        super().__init__(polynomial)
+        self.order = order
+        self._powers: dict[PuiseuxSeries, dict] = {}
 
     def number(self, c: int) -> int:
         return c
@@ -98,19 +136,60 @@ class Series:
     def mul(self, x, y):
         return x * y
 
-    def pow(self, x, r, key: Optional[str] = None):
+    def pow(self, x, r):
         if not isinstance(x, PuiseuxSeries):
             if Q(r).denominator != 1:
                 raise ValueError(f"rational power of the constant {x}")
             return Q(x) ** int(r)
-        if key is None:
-            return x.pow(r)
-        built = self._powers.setdefault(key, {1: x})
+        built = self._powers.setdefault(x, {1: x})
         if r not in built:
             j = max((j for j in built if type(r) is int and r > j >= r - j and r - j in built),
                     default=None)
             built[r] = x.pow(r) if j is None else built[j] * built[r - j]
         return built[r]
+
+    def table(self, name: str, args):
+        terms = self._terms(name, args)
+        degrees = {sum(exps) for _, exps in terms}
+        if len(args) == 2 and len(degrees) == 1:
+            return self._binary_form(terms, degrees.pop(), args)
+        return _sum_of_products(self, terms, args)
+
+    def _binary_form(self, terms, degree: int, values) -> PuiseuxSeries:
+        """sum c * x^a * y^b over terms with a + b = degree, as
+
+            lo^(degree - e0) * hi^e0 * H(z),  z = (hi / lo)^g,  H(z) = sum c_k z^k,
+
+        where lo is the variable of smaller base exponent, hi the other, e0
+        the least exponent of hi and g the gcd of its steps.  H is evaluated
+        by Horner's rule: one product by z and one constant add per step.
+
+        Choosing lo by base gives z a non-negative leading exponent, so no
+        step loses relative precision: the result is exact to the smaller
+        relative precision of the two inputs past its base, which is exactly
+        the truncation of the term-by-term sum when both carry the same
+        relative precision (as every recipe's inputs do) and never past it
+        otherwise.  lo needs a nonzero stored leading coefficient, as every
+        named form has.
+        """
+        lo = 0 if values[0].base <= values[1].base else 1
+        hi = 1 - lo
+        by_hi = {exps[hi]: c for c, exps in terms}
+        e0 = min(by_hi)
+        g = gcd(*(e - e0 for e in by_hi)) or 1
+        cs = [by_hi.get(e, 0) for e in range(e0, max(by_hi) + 1, g)]
+        prefactor = None
+        for i, e in ((lo, degree - e0), (hi, e0)):
+            if e:
+                p = self.pow(values[i], e)
+                prefactor = p if prefactor is None else prefactor * p
+        if len(cs) == 1:
+            return prefactor.scale(cs[0])
+        z = self.pow(values[hi] * self.pow(values[lo], -1), g)
+        h = z.scale(cs[-1])
+        for c in reversed(cs[1:-1]):
+            h = (h + c) * z
+        return prefactor * (h + cs[0])
 
     def subst(self, x: PuiseuxSeries, m: int) -> PuiseuxSeries:
         return x.substitute_power(m)
@@ -150,28 +229,7 @@ class Series:
         return f, LogSeries(plain, f.truncate(plain.truncation))
 
 
-class _Bookkeeping:
-    """Leads and Weights: one value per expression, no coefficient built.  A
-    polynomial table, stored as `polynomial(name)`, is a sum of products."""
-
-    def __init__(self, polynomial: Optional[Callable] = None):
-        self.polynomial, self.siblings = polynomial, {}
-        self.table = None if polynomial is None else self._table
-
-    def _table(self, name: str, args):
-        return reduce(self.add, (reduce(self.mul, map(self.pow, args, exps), self.number(1))
-                                 for _, exps in self.polynomial(name)["terms"]))
-
-    def _same(self, x, *_):
-        return x
-
-    def pair(self, s, w, x, y, z):
-        """(x + y, x + y + z): what the F and G of ``Series.pair`` carry."""
-        f = self.add(x, y)
-        return f, self.add(f, z)
-
-
-class Leads(_Bookkeeping):
+class Leads(_Semantics):
     """Values are base exponents (Fraction); a scalar sits at q^0."""
 
     add = staticmethod(min)
@@ -185,17 +243,17 @@ class Leads(_Bookkeeping):
     def mul(self, x, y):
         return x + y
 
-    def pow(self, x, r, key: Optional[str] = None):
+    def pow(self, x, r):
         return x * r
 
     def log(self, s: Fraction, alpha: Fraction) -> Fraction:
         return alpha
 
     subst = pow
-    neg = derive = integrate = unit = _Bookkeeping._same
+    neg = derive = integrate = unit = _Semantics._same
 
 
-class Weights(_Bookkeeping):
+class Weights(_Semantics):
     """Values are frozensets of weights: {0} for a scalar and a log solution,
     its weight for a form.  Sums unite them, products add every pair, powers
     scale, D adds 2, ∫ subtracts 2, and every other operation keeps them."""
@@ -211,7 +269,7 @@ class Weights(_Bookkeeping):
     def mul(self, x, y):
         return frozenset(a + b for a in x for b in y)
 
-    def pow(self, x, r, key: Optional[str] = None):
+    def pow(self, x, r):
         return frozenset(w * r for w in x)
 
     def derive(self, x, step: int = 2):
@@ -221,7 +279,7 @@ class Weights(_Bookkeeping):
         return self.derive(x, -2)
 
     log = number
-    neg = subst = unit = _Bookkeeping._same
+    neg = subst = unit = _Semantics._same
 
 
 class _Reader:
@@ -294,18 +352,16 @@ class _Reader:
         if self.peek() == "-":
             self.take()
             return self.k.neg(self.signed(inverse))
-        key, value = self.atom()
+        value = self.atom()
         r = 1
         if self.peek() == "^":
             self.take()
             r = self.exponent()
         r = -r if inverse else r
-        return value if r == 1 else self.k.pow(value, r, key)
+        return value if r == 1 else self.k.pow(value, r)
 
     def atom(self):
-        """(key, value): key names a form atom, so that its powers are
-        shared, and is None for any other atom."""
-        k, tok, key = self.k, self.take(), None
+        k, tok = self.k, self.take()
         if tok.isdigit():
             value = k.number(int(tok))
         elif tok in ("(", "{"):
@@ -326,14 +382,14 @@ class _Reader:
         elif tok in k.siblings:
             value = k.siblings[tok]
         elif tok in _FORMS:
-            value, key = k.form(tok), tok
+            value = k.form(tok)
             if self.peek() == "(":
                 for want in ("(", "q", "^"):
                     self.take(want)
                 m = self.integer()
                 self.take(")")
-                value, key = k.subst(value, m), f"{tok}(q^{m})"
-        elif tok[0].isalpha() and k.table is not None and self.peek() == "(":
+                value = k.subst(value, m)
+        elif tok[0].isalpha() and k.polynomial is not None and self.peek() == "(":
             self.take()
             args = [self.sum()]
             while self.peek() == ",":
@@ -346,8 +402,8 @@ class _Reader:
             raise ValueError(f"{kind} {tok!r} in {self.text!r}")
         while self.peek() == "'":
             self.take()
-            value, key = self.apply(k.derive, value), None
-        return key, value
+            value = self.apply(k.derive, value)
+        return value
 
     def apply(self, op: Callable, value):
         """op(value), naming the expression in any ValueError it raises."""

@@ -295,20 +295,6 @@ def indicial(op: MLDEOperator) -> IndicialReport:
 # -- Frobenius solving ------------------------------------------------
 
 
-def _steps(c: PuiseuxSeries, at: Fraction, order: int) -> list[int]:
-    """The numerators, over c.den, of the coefficients of q^(at + i) in c for
-    i = 0..order: 0 below c's base or off its grid."""
-    if c.truncation <= at + order:
-        raise InsufficientOrder(
-            f"operator coefficients only justified to q^{c.truncation}, need > {at + order}")
-    # q^(at + i) sits at index start + i * grid when that is a whole number
-    start = (at - c.base) * c.grid
-    if start.denominator != 1:
-        return [0] * (order + 1)
-    start, ns = int(start), c.nums
-    return [ns[k] if k >= 0 else 0 for k in range(start, start + (order + 1) * c.grid, c.grid)]
-
-
 def _operator_tables(op: MLDEOperator, order: int) -> list[tuple[Sequence[int], int]]:
     """(numerators of c_j at q^0..q^order, c_j.den) for each power series c_j."""
     for c in op.coefficients:
@@ -436,7 +422,11 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
     f1 = _series_solution(table, upper, top - gap)
     # T = sum_j j * c_j * D^(j-1) f1, the ell-interaction term
     t = MLDEOperator(tuple(c.scale(j) for j, c in enumerate(op.coefficients) if j)).apply(f1)
-    forcing = [-x for x in _steps(t, alpha, top)]
+    if t.truncation <= alpha + top:
+        raise InsufficientOrder(
+            f"operator coefficients only justified to q^{t.truncation}, need > {alpha + top}")
+    # T is based at q^upper on grid 1, gap steps past q^alpha
+    forcing = [0] * gap + [-x for x in t.nums[:top - gap + 1]]
     if forcing[0]:
         raise InconsistentResonance("no log solution: inconsistent leading resonance")
     # f0 = part + x * hom, with x the coefficient of q^alpha
@@ -445,7 +435,7 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
         # q^alpha is q^u, whose coefficient is gauged to zero
         x, hom, hom_res = Q(0), None, dict.fromkeys(part_res, Q(0))
     else:
-        x = None
+        x = None  # pinned or raised on at n = gap, where part's residual is -P'(upper) != 0
         hom, hom_res = _frobenius_sweep(table, alpha, top, Q(1))
     for n, rp in part_res.items():
         rh = hom_res[n]
@@ -453,8 +443,6 @@ def frobenius_solve_log(op: MLDEOperator, alpha: QLike,
             x = -rp / rh
         if rp + (x or 0) * rh:
             raise InconsistentResonance(f"no log solution: inconsistent resonance at step {n}")
-    if x is None:
-        x = Q(1)  # free coefficient never pinned: normalize it to 1
     f0 = PuiseuxSeries.from_ints(alpha, 1, part.nums, part.den)
     if x:
         f0 += PuiseuxSeries.from_ints(alpha, 1, hom.nums, hom.den).scale(x)

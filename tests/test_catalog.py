@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mldelab import catalog, formula
 from mldelab import forms as F
-from mldelab.series import InsufficientOrder, LogSeries, PuiseuxSeries, Q
+from mldelab.mlde import build_flat
+from mldelab.series import InsufficientOrder, LogSeries, PuiseuxSeries, Q, rat_str
 
 
 def test_entry_inventory():
@@ -248,6 +249,36 @@ def test_wronskian_constant_over_eta24():
     assert c1 == c2 == Q(1152, 3125)
 
 
+def test_wronskian_of_a_shifted_system_is_not_constant(monkeypatch):
+    # q times the top solution: W/eta^24 then leads at q^1, not at q^0,
+    # and the report gives that lead with the verdict False
+    real = catalog.fundamental_system
+
+    def shifted(s, order):
+        *rest, (e, f) = real(s, order)
+        return rest + [(e + 1, f * PuiseuxSeries.q_power(1, order))]
+
+    assert catalog.wronskian_over_eta24(Q(6, 5), 10)[1]
+    monkeypatch.setattr(catalog, "fundamental_system", shifted)
+    assert catalog.wronskian_over_eta24(Q(6, 5), 10) == (Q(1008, 15625), False)
+
+
+def test_annihilation_failure_names_its_residual(monkeypatch):
+    # B.f.f0 checked against flat(11/5) instead of flat(6/5): its prefix
+    # still matches, and the residual at its exponent e is P(e), with P the
+    # indicial polynomial of flat(11/5)
+    monkeypatch.setattr(catalog, "designated_operator",
+                        lambda label, order: build_flat(catalog.entry(label).s + 1, order))
+    rep = catalog.verify_entry("B.f.f0")
+    e = Q(-1, 10)
+    residual = build_flat(Q(11, 5), 2).apply(PuiseuxSeries.q_power(e, 1)).coefficient(e)
+    assert residual == Q(-139867, 41472000)
+    assert rep["status"] == "failed"
+    assert rep["prefix"] == "4 printed coefficients match"
+    assert rep["detail"] == f"B.f.f0: operator residual {residual} at q^-1/10"
+    assert (rep["first_bad_exponent"], rep["residual"]) == ("-1/10", rat_str(residual))
+
+
 @pytest.mark.parametrize("order", [8, 25])
 def test_wronskian_pads_are_tight(monkeypatch, order):
     """One step short on the system or on eta, every Wronskian falls short
@@ -294,7 +325,7 @@ def test_polynomial_store():
     assert all(len(exps) == nvars for _, exps in rec["terms"])
     # evaluating at the constant series 1 sums the coefficients
     ones = [PuiseuxSeries.one(4) for _ in range(nvars)]
-    value = catalog.evaluate_polynomial(name, ones)
+    value = formula.Series(4, catalog.polynomial).table(name, ones)
     assert value.coefficient(0) == sum(Fr(c) for c, _ in rec["terms"])
     with pytest.raises(catalog.UnknownLabel):
         catalog.polynomial("nonesuch")
@@ -316,7 +347,7 @@ def test_verification_report_shape(catalog_reports):
     assert rep["status"] == "verified"
 
 
-# -- evaluate_polynomial against a term-by-term reference --------------
+# -- table evaluation against a term-by-term reference ----------------
 
 def reference_evaluate(terms, values):
     """Sum of the terms, each a product of powers built by repeated
@@ -371,7 +402,7 @@ def test_evaluate_polynomial_matches_reference(n):
     for name, tuples in args.items():
         terms = catalog.polynomial(name)["terms"]
         for values in tuples:
-            got = catalog.evaluate_polynomial(name, values)
+            got = formula.Series(n, catalog.polynomial).table(name, values)
             assert expansion(got) == expansion(reference_evaluate(terms, values)), name
 
 
@@ -396,9 +427,7 @@ def binary_forms(draw):
 @given(binary_forms(), small_series, small_series)
 def test_binary_form_matches_reference(terms, x, y):
     rec = {"degree": sum(terms[0][1]), "variables": ["x", "y"], "terms": terms}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catalog, "polynomial", lambda name: rec)
-        got = catalog.evaluate_polynomial("random", (x, y))
+    got = formula.Series(0, lambda name: rec).table("random", (x, y))
     want = reference_evaluate(terms, (x, y))
     (t_got, got_cs), (t_want, want_cs) = expansion(got), expansion(want)
     # the ratio carries the smaller relative precision of the two inputs
@@ -439,7 +468,7 @@ def rebuild_with_stored_constants(label, n):
     u, v = (p2, -p1) if swapped else (p1, p2)
 
     def value(name):
-        return u if name == "u" else catalog.evaluate_polynomial(name, (u, v))
+        return u if name == "u" else formula.Series(n, catalog.polynomial).table(name, (u, v))
 
     degree = 1 if pname == "u" else catalog.polynomial(pname)["degree"]
     em = F.eta(n).pow(-m)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as Fr
 from itertools import product
 from math import ceil, floor, isqrt, lcm
@@ -174,6 +175,39 @@ def test_failed_report_names_its_residual(monkeypatch):
     assert rep["status"] == "failed"
     assert rep["first_bad_exponent"] == "-1/15"
     assert rep["residual"] == rat_str(residual) != "0"
+
+
+@pytest.mark.parametrize("fault, detail, bad", [
+    # the first character halved: annihilated, and the series solution once
+    # scaled, but its leading multiplicity 1/2 counts no states
+    (lambda b: [(b[0][0], b[0][1].scale(Q(1, 2)))] + b[1:],
+     "character at -1/15 has non-counting coefficients", ("-1/15", "1/2")),
+    # the first two characters summed: annihilated, but the second's lead
+    # at q^(1/15) is no term of the series solution at -1/15
+    (lambda b: [(b[0][0], b[0][1] + b[1][1])] + b[1:],
+     "character at -1/15 differs from series solution", ("1/15", "1")),
+    # the first character dropped: three exponents against four tabulated
+    (lambda b: b[1:], "exponents [Fraction(1, 15), Fraction(4, 15), Fraction(11, 15)] != "
+     "tabulated (Fraction(-1, 15), Fraction(1, 15), Fraction(4, 15), Fraction(11, 15))", None),
+])
+def test_faulty_basis_fails_the_report(fault, detail, bad):
+    rep = ch.verify_case("A2", 10, fault(ch.ramond_character_basis("A2", 10)))
+    assert rep["status"] == "failed"
+    assert rep["detail"] == detail
+    assert (rep.get("first_bad_exponent"), rep.get("residual")) == (bad or (None, None))
+
+
+def test_exponent_only_case_fails_off_its_parameter(monkeypatch):
+    # G2 read at s + 1 = 11/5: its roots leave the tabulated exponents, and
+    # the solution at its first root meets a denominator 331 at the seventh
+    # term, past the six that fix the integer rescale
+    d = ch.datum("G2")
+    monkeypatch.setattr(ch, "datum", lambda name: dataclasses.replace(d, s=d.s + 1))
+    rep = ch.verify_case("G2", 10)
+    assert rep["status"] == "failed"
+    assert (rep["exponents_match"], rep["cft_type"]) == (False, False)
+    assert rep["detail"] == "solution at -17/120 has non-counting coefficients"
+    assert (rep["first_bad_exponent"], rep["residual"]) == ("703/120", "5106939627281245/331")
 
 
 def test_verify_reads_through_the_order(monkeypatch):

@@ -6,7 +6,7 @@ from mldelab import forms as F
 from mldelab.catalog import aux_third_order, catalogued_parameters
 from mldelab.classify import CASES, enumerate_case
 from mldelab.mlde import (SHARP_FACTORIZATIONS, InconsistentResonance,
-                          _operator_tables, _rational_roots, _steps,
+                          _operator_tables, _rational_roots,
                           MLDEOperator, NoLogNeeded, NotIndicialRoot,
                           Resonance, alphas, build_custom,
                           build_flat, build_sharp, divisors, factored_apply,
@@ -108,6 +108,28 @@ def test_log_upper_root_keeps_the_rule():
                 assert log_upper_root(roots, alpha) == want, (s, alpha)
     with pytest.raises(NotIndicialRoot):
         log_upper_root(flat_indicial_roots(Q(6, 5)), Q(1, 2))
+
+
+def test_multiple_roots_have_no_root_an_integer_below():
+    """The roots of flat(s) are affine in s, so a pair of them meets at one
+    s at most: the four meetings are -18/5, -6/5, 6 and 42/5.  At none of
+    them does a root lie a positive integer below the multiple one, so the
+    upper root of a log solve based below it is simple, and the residual
+    -P'(upper) of its particular part pins the free coefficient."""
+    r0, r1 = flat_indicial_roots(0), flat_indicial_roots(1)
+    meets = set()
+    for i in range(4):
+        for j in range(i + 1, 4):
+            slope = (r1[i] - r0[i]) - (r1[j] - r0[j])
+            assert slope or r0[i] != r0[j]
+            if slope:
+                meets.add((r0[j] - r0[i]) / slope)
+    assert meets == {Q(-18, 5), Q(-6, 5), 6, Q(42, 5)}
+    for s in meets:
+        roots = flat_indicial_roots(s)
+        multiple = {u for u in roots if roots.count(u) > 1}
+        assert len(multiple) == 1
+        assert not [r for r in roots for u in multiple if u > r and (u - r).denominator == 1]
 
 
 def test_frobenius_fixtures():
@@ -357,13 +379,13 @@ def test_build_custom_monic_requirement():
 
 
 def test_operator_tables_read_the_coefficients():
-    """The direct read of each coefficient's numerators agrees with the
-    general read at q^0 of any base and grid, and stops where it does."""
+    """The direct read of each coefficient's numerators agrees with its
+    coefficients at q^0..q^6 over its denominator, and stops at q^7."""
     ops = (build_flat(Q(6, 5), 6), build_flat(18, 6), build_sharp(mu(Q(19, 5)), 6),
            aux_third_order(6))
     for op in ops:
         assert [(list(ns), den) for ns, den in _operator_tables(op, 6)] == \
-            [(_steps(c, Q(0), 6), c.den) for c in op.coefficients]
+            [([c.coefficient(i) * c.den for i in range(7)], c.den) for c in op.coefficients]
         with pytest.raises(InsufficientOrder, match=r"justified to q\^7, need > 7"):
             _operator_tables(op, 7)
 
