@@ -117,11 +117,9 @@ def _set_notation(values) -> str:
 
 def cmd_forms(args) -> int:
     if args.forms_cmd == "dump":
-        try:
-            series = forms.form(args.name, args.order)
-        except KeyError as exc:
-            raise UsageError(exc.args[0])
-        _json({"name": args.name, "series": series.to_json_dict()})
+        if args.name not in forms.FORM_TABLE:
+            raise UsageError(f"unknown form {args.name!r}; known: {sorted(forms.FORM_TABLE)}")
+        _json({"name": args.name, "series": forms.form(args.name, args.order).to_json_dict()})
         return EXIT_OK
     # verify
     groups = [args.group] if args.group else relations.GROUP_ORDERS

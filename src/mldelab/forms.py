@@ -1,56 +1,41 @@
 """Classical q-expansions: Eisenstein series, the eta function, and the
-level 2-15 forms used throughout the package.
+level 2-15 forms used throughout the package, as one registry.
 
-Every builder takes a truncation `order` (number of integer q-steps past
-the leading exponent that are exact) and returns a
-:class:`~mldelab.series.PuiseuxSeries`.  Results are cached per order.
+Each row of :data:`REGISTRY` says how its form is built, and the form's
+modular weight and level are read off that construction:
+
+- a divisor sum ``1 + sum_n sum_{d | n} c chi(d) d^p q^n`` has weight
+  p + 1 and level the modulus of chi (E2, E4, E6, E8, H2, I3);
+- an eta quotient ``prod_m eta(q^m)^e``, written ``{m: e}``, has weight
+  sum(e)/2 and level lcm(m) (eta itself is ``{1: 1}``; Delta2, Delta3,
+  Delta4, I15, Delta15);
+- psi1 and psi2 are eta^(2/5) q^shift times a Rogers-Ramanujan product
+  over residues mod 5, which has weight 0: weight 1/5 (the eta power's)
+  and level lcm(1, 5) = 5;
+- theta, built by its square sieve, is the one row that states its
+  weight (1/2) and level (4).
+
+:func:`form` builds a row to a truncation `order`, once per (name, order);
+nothing is built at import.  A form is exact at least order + 1 integer
+q-steps past its leading exponent, and an eta quotient min(m) * (order + 1),
+as each eta(q^m) is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial, reduce
+from math import lcm
+from operator import mul
+from typing import NamedTuple
 
 from .series import DEFAULT_ORDER, PuiseuxSeries, Q
 
-
-def _divisor_sums(weight: Callable[[int], int], order: int) -> PuiseuxSeries:
-    """1 + sum_{n=1}^{order} (sum over d | n of weight(d)) q^n."""
-    cs = [1] + [0] * order
-    for d in range(1, order + 1):
-        w = weight(d)
-        if w:
-            cs[d::d] = [x + w for x in cs[d::d]]
-    return PuiseuxSeries.from_ints(0, 1, cs)
+#: the modulus of the residues a partition product runs over
+_MODULUS = 5
 
 
-@lru_cache(maxsize=None)
-def eisenstein_e2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """E2 = 1 - 24 sum sigma_1(n) q^n (quasimodular, weight 2)."""
-    return _divisor_sums(lambda d: -24 * d, order)
-
-
-@lru_cache(maxsize=None)
-def eisenstein_e4(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """E4 = 1 + 240 sum sigma_3(n) q^n."""
-    return _divisor_sums(lambda d: 240 * d**3, order)
-
-
-@lru_cache(maxsize=None)
-def eisenstein_e6(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """E6 = 1 - 504 sum sigma_5(n) q^n."""
-    return _divisor_sums(lambda d: -504 * d**5, order)
-
-
-@lru_cache(maxsize=None)
-def eisenstein_e8(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """E8 = 1 + 480 sum sigma_7(n) q^n (= E4^2)."""
-    return _divisor_sums(lambda d: 480 * d**7, order)
-
-
-@lru_cache(maxsize=None)
-def eta(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
+def _pentagonal(order: int) -> PuiseuxSeries:
     """Dedekind eta = q^(1/24) prod (1-q^n), via the pentagonal number theorem."""
     cs = [0] * (order + 1)
     k = 0
@@ -69,60 +54,10 @@ def eta(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
 
 def eta_quotient(factors: dict[int, Fraction | int], order: int = DEFAULT_ORDER) -> PuiseuxSeries:
     """prod_m eta(q^m)^e for {m: e}; exponents may be rational."""
-    out = None
-    base_eta = eta(order)
-    for m, e in sorted(factors.items()):
-        piece = base_eta.substitute_power(m).pow(e)
-        out = piece if out is None else out * piece
-    if out is None:
+    if not factors:
         raise ValueError("empty eta quotient")
-    return out
-
-
-@lru_cache(maxsize=None)
-def h2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """Weight-2 level-2 form 1 + 24 sum (sum of odd divisors of n) q^n."""
-    return _divisor_sums(lambda d: 24 * d if d % 2 else 0, order)
-
-
-@lru_cache(maxsize=None)
-def delta2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """eta(q^2)^8 / eta(q)^4 (weight 2, level 2); leading term q^(1/2).
-
-    The exponents 8 and 4 (rather than 16 and 8) are forced by the weight:
-    only this quotient has weight 2 and satisfies the level-2 relations
-    E4 = H2^2 + 192*Delta2^2 and 6*Delta2' = (E2 + 2*H2)*Delta2.
-    """
-    return eta_quotient({2: 8, 1: -4}, order)
-
-
-@lru_cache(maxsize=None)
-def i3(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """Weight-1 level-3 form 1 + 6 sum (sum over d|n of Legendre(d|3)) q^n."""
-    return _divisor_sums(lambda d: (0, 6, -6)[d % 3], order)
-
-
-@lru_cache(maxsize=None)
-def delta3(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """eta(q^3)^3 / eta(q) (weight 1, level 3); leading term q^(1/3)."""
-    return eta_quotient({3: 3, 1: -1}, order)
-
-
-@lru_cache(maxsize=None)
-def theta(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """theta = sum over all integers n of q^(n^2) (weight 1/2, level 4)."""
-    cs = [1] + [0] * order
-    n = 1
-    while n * n <= order:
-        cs[n * n] = 2
-        n += 1
-    return PuiseuxSeries.from_ints(0, 1, cs)
-
-
-@lru_cache(maxsize=None)
-def delta4(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """eta(q^4)^2 / eta(q^2) (weight 1/2, level 4); leading term q^(1/4)."""
-    return eta_quotient({4: 2, 2: -1}, order)
+    base_eta = _pentagonal(order)
+    return reduce(mul, (base_eta.substitute_power(m).pow(e) for m, e in sorted(factors.items())))
 
 
 def partition_product(residues: set[int], order: int) -> PuiseuxSeries:
@@ -130,63 +65,111 @@ def partition_product(residues: set[int], order: int) -> PuiseuxSeries:
     all five residues, 1 / prod (1 - q^n), the partition numbers."""
     cs = [1] + [0] * order
     for n in range(1, order + 1):
-        if n % 5 in residues:
+        if n % _MODULUS in residues:
             for j in range(n, order + 1):
                 cs[j] += cs[j - n]
     return PuiseuxSeries.from_ints(0, 1, cs)
 
 
-@lru_cache(maxsize=None)
-def psi1(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """Weight-1/5 level-5 form with leading exponent 0.
+class DivisorSum(NamedTuple):
+    """1 + sum_{n >= 1} sum_{d | n} c * chi[d mod len(chi)] * d^p q^n."""
 
-    eta^(2/5) * q^(-1/60) * prod over n not = 0, +-2 mod 5 of (1-q^n)^(-1).
-    """
-    rr = partition_product({1, 4}, order).shift(Q(-1, 60))
-    return eta(order).pow(Q(2, 5)) * rr
+    c: int
+    p: int
+    chi: tuple[int, ...] = (1,)
+    weight = property(lambda row: Q(row.p + 1))
+    level = property(lambda row: len(row.chi))
 
-
-@lru_cache(maxsize=None)
-def psi2(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """Weight-1/5 level-5 companion with leading exponent 1/5.
-
-    eta^(2/5) * q^(11/60) * prod over n not = 0, +-1 mod 5 of (1-q^n)^(-1).
-    """
-    rr = partition_product({2, 3}, order).shift(Q(11, 60))
-    return eta(order).pow(Q(2, 5)) * rr
+    def build(self, order: int) -> PuiseuxSeries:
+        cs = [1] + [0] * order
+        for d in range(1, order + 1):
+            w = self.c * self.chi[d % len(self.chi)] * d**self.p
+            if w:
+                cs[d::d] = [x + w for x in cs[d::d]]
+        return PuiseuxSeries.from_ints(0, 1, cs)
 
 
-@lru_cache(maxsize=None)
-def i15(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """eta(q^3)^2 eta(q^5)^2 / (eta(q) eta(q^15)) (weight 1, level 15)."""
-    return eta_quotient({3: 2, 5: 2, 1: -1, 15: -1}, order)
+class EtaQuotient(NamedTuple):
+    """prod_m eta(q^m)^e for factors {m: e}."""
+
+    factors: dict[int, Fraction | int]
+    weight = property(lambda row: Q(sum(row.factors.values()), 2))
+    level = property(lambda row: lcm(*row.factors))
+
+    def build(self, order: int) -> PuiseuxSeries:
+        return eta_quotient(self.factors, order)
 
 
-@lru_cache(maxsize=None)
-def delta15(order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """eta(q)^2 eta(q^15)^2 / (eta(q^3) eta(q^5)) (weight 1, level 15)."""
-    return eta_quotient({1: 2, 15: 2, 3: -1, 5: -1}, order)
+class Psi(NamedTuple):
+    """eta^(2/5) * q^shift * prod over n > 0 with n mod 5 in `residues` of
+    (1 - q^n)^(-1)."""
+
+    shift: Fraction
+    residues: frozenset[int]
+    eta = EtaQuotient({1: Q(2, 5)})
+    weight = property(lambda row: row.eta.weight)
+    level = property(lambda row: lcm(row.eta.level, _MODULUS))
+
+    def build(self, order: int) -> PuiseuxSeries:
+        return self.eta.build(order) * partition_product(self.residues, order).shift(self.shift)
 
 
-#: name -> (builder, weight, level) for the ten catalogued forms
-FORM_TABLE = {
-    "H2": (h2, Q(2), 2),
-    "Delta2": (delta2, Q(2), 2),
-    "I3": (i3, Q(1), 3),
-    "Delta3": (delta3, Q(1), 3),
-    "theta": (theta, Q(1, 2), 4),
-    "Delta4": (delta4, Q(1, 2), 4),
-    "psi1": (psi1, Q(1, 5), 5),
-    "psi2": (psi2, Q(1, 5), 5),
-    "I15": (i15, Q(1), 15),
-    "Delta15": (delta15, Q(1), 15),
+class Theta(NamedTuple):
+    """theta = sum over all integers n of q^(n^2)."""
+
+    weight = Q(1, 2)
+    level = 4
+
+    def build(self, order: int) -> PuiseuxSeries:
+        cs = [1] + [0] * order
+        n = 1
+        while n * n <= order:
+            cs[n * n] = 2
+            n += 1
+        return PuiseuxSeries.from_ints(0, 1, cs)
+
+
+#: name -> row: how each form is built, and so its weight and level
+REGISTRY = {
+    "E2": DivisorSum(-24, 1),  # quasimodular
+    "E4": DivisorSum(240, 3),
+    "E6": DivisorSum(-504, 5),
+    "E8": DivisorSum(480, 7),  # = E4^2
+    "eta": EtaQuotient({1: 1}),
+    "H2": DivisorSum(24, 1, (0, 1)),  # sums of odd divisors
+    # exponents 8 and 4 (rather than 16 and 8): only this quotient has weight
+    # 2 and satisfies E4 = H2^2 + 192*Delta2^2 and 6*Delta2' = (E2 + 2*H2)*Delta2
+    "Delta2": EtaQuotient({2: 8, 1: -4}),
+    "I3": DivisorSum(6, 0, (0, 1, -1)),  # chi = the Legendre symbol (d|3)
+    "Delta3": EtaQuotient({3: 3, 1: -1}),
+    "theta": Theta(),
+    "Delta4": EtaQuotient({4: 2, 2: -1}),
+    "psi1": Psi(Q(-1, 60), frozenset({1, 4})),  # leading exponent 0
+    "psi2": Psi(Q(11, 60), frozenset({2, 3})),  # leading exponent 1/5
+    "I15": EtaQuotient({3: 2, 5: 2, 1: -1, 15: -1}),
+    "Delta15": EtaQuotient({1: 2, 15: 2, 3: -1, 5: -1}),
 }
 
 
+@lru_cache(maxsize=None)
 def form(name: str, order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """Look up a catalogued form by name."""
+    """The registry's form `name`, built to `order`."""
     try:
-        builder, _, _ = FORM_TABLE[name]
+        row = REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown form {name!r}; known: {sorted(FORM_TABLE)}") from None
-    return builder(order)
+        raise KeyError(f"unknown form {name!r}; known: {sorted(REGISTRY)}") from None
+    return row.build(order)
+
+
+#: name -> (builder, weight, level) for the ten catalogued forms, the
+#: generator pairs of levels 2, 3, 4, 5 and 15: the rows of level above 1
+FORM_TABLE = {name: (partial(form, name), row.weight, row.level)
+              for name, row in REGISTRY.items() if row.level > 1}
+
+eisenstein_e2 = partial(form, "E2")
+eisenstein_e4 = partial(form, "E4")
+eisenstein_e6 = partial(form, "E6")
+eisenstein_e8 = partial(form, "E8")
+eta = partial(form, "eta")
+psi1 = partial(form, "psi1")
+psi2 = partial(form, "psi2")

@@ -12,7 +12,8 @@
                  | 'D' '[' sum ']' | '∫' '[' sum ']'
                  | '(' sum ')' | '{' sum '}') "'"*
 
-NAME is eta, E2, E4, E6 or one of the ten forms of ``forms.FORM_TABLE``.
+NAME is a form of the registry ``forms.REGISTRY``: eta, E2, E4, E6, E8 or
+one of the ten catalogued forms of ``forms.FORM_TABLE``.
 ``NAME(q^m)`` substitutes q -> q^m, a postfix ``'`` or ``D[...]`` applies
 the Euler derivative D = q d/dq, and ``∫[...]`` its inverse (no constant
 term may occur).  ``x / y`` is ``x * y^(-1)``, for an integer or a series y.
@@ -26,10 +27,10 @@ The reader takes every atom and applies every operation through a
 semantics object.  Each reads a TABLE call from the same polynomial store
 as the sum of its terms c * prod x^e over the arguments x (no other module
 reads a table's terms).  :class:`Series` evaluates at one order: each form
-is exact order + 1 steps past its base, and no operation of the grammar
-shortens that reach past the result's base.  It builds each power x^r
-once, keyed by the value x, and reads a homogeneous two-variable table by
-Horner's rule in a ratio (``Series._binary_form``).  :class:`Leads` evaluates to
+is exact at least order + 1 steps past its base, and no operation of the
+grammar shortens that reach past the result's base.  It builds each power
+x^r once, keyed by the value x, and reads a homogeneous two-variable table
+by Horner's rule in a ratio (``Series._binary_form``).  :class:`Leads` evaluates to
 base exponents alone, which do not depend on the order: products add them,
 sums take the smaller (a scalar sits at q^0), powers and substitutions
 scale them, and every other operation keeps them.  :class:`Weights`
@@ -55,12 +56,6 @@ from .mlde import build_flat, frobenius_solve_log
 from .series import LogSeries, PuiseuxSeries, Q
 
 _TOKEN = re.compile(r"f-?\d+(?:/\d+)?(?![\w/])|\d+|[A-Za-z]\w*(?:\.\w+)*|\S")
-
-#: NAME -> (builder, weight)
-_FORMS = {name: (builder, weight) for name, (builder, weight, _) in F.FORM_TABLE.items()}
-_FORMS.update(eta=(F.eta, Q(1, 2)), E2=(F.eisenstein_e2, Q(2)), E4=(F.eisenstein_e4, Q(4)),
-              E6=(F.eisenstein_e6, Q(6)))
-
 
 #: whole steps past their base at which ``Series.pair`` cuts its two terms
 _FIT_STEPS = 2
@@ -125,7 +120,7 @@ class Series(_Semantics):
         return c
 
     def form(self, name: str) -> PuiseuxSeries:
-        return _FORMS[name][0](self.order)
+        return F.form(name, self.order)
 
     def add(self, x, y):
         return x + y
@@ -238,7 +233,7 @@ class Leads(_Semantics):
         return Q(0)
 
     def form(self, name: str) -> Fraction:
-        return _FORMS[name][0](0).base
+        return F.form(name, 0).base
 
     def mul(self, x, y):
         return x + y
@@ -264,7 +259,7 @@ class Weights(_Semantics):
         return frozenset((Q(0),))
 
     def form(self, name: str) -> frozenset:
-        return frozenset((_FORMS[name][1],))
+        return frozenset((F.REGISTRY[name].weight,))
 
     def mul(self, x, y):
         return frozenset(a + b for a in x for b in y)
@@ -381,7 +376,7 @@ class _Reader:
             value = k.log(Q(s), Q(alpha))
         elif tok in k.siblings:
             value = k.siblings[tok]
-        elif tok in _FORMS:
+        elif tok in F.REGISTRY:
             value = k.form(tok)
             if self.peek() == "(":
                 for want in ("(", "q", "^"):

@@ -6,11 +6,12 @@ groups a-d hold single-argument relations at levels 2, 3, 4 and 5, and
 groups e, f and g (levels 10, 15 and 20) mix q with q^2, q^4 or q^5
 arguments.
 
-A relation is checked as printed: :func:`evaluate` reads both sides of its
-``formula`` with the shared reader of :mod:`mldelab.formula`, every form
-built to the verification order.  A form is exact order + 1 steps past a
-base of q^0 or above, and no operation of the grammar shortens that, so
-each side is exact below q^(order + 1), past the window its verdict reads.
+A relation is checked as printed: :func:`verify_relation` reads both
+sides of its ``formula`` with the shared reader of :mod:`mldelab.formula`,
+through one ``formula.Series`` at the verification order.  A form is exact
+at least order + 1 steps past a base of q^0 or above, and no operation of
+the grammar shortens that, so each side is exact below q^(order + 1), past
+the window its verdict reads.
 
 A few printed sources of these identities contain transcription errors.
 Where the intended reading is forced by weight bookkeeping or by a unique
@@ -30,12 +31,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import formula
-from .series import PuiseuxSeries, Q, report_failure
-
-
-def evaluate(expression: str, order: int) -> int | PuiseuxSeries:
-    """The value of one side of a relation, its forms built to order."""
-    return formula.evaluate(expression, formula.Series(order))
+from .series import Q, report_failure
 
 
 @dataclass(frozen=True)

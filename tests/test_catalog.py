@@ -375,10 +375,10 @@ def expansion(f):
 def recipe_arguments(n):
     """Every table name with the argument tuples the recipes pass it."""
     p1, p2 = F.psi1(n), F.psi2(n)
-    i15, d15, i3 = F.i15(n), F.delta15(n), F.i3(n)
+    i15, d15, i3 = F.form("I15", n), F.form("Delta15", n), F.form("I3", n)
     i3q5 = i3.substitute_power(5)
-    th, thq5 = F.theta(n), F.theta(n).substitute_power(5)
-    d4, d4q5 = F.delta4(n), F.delta4(n).substitute_power(5)
+    th, thq5 = F.form("theta", n), F.form("theta", n).substitute_power(5)
+    d4, d4q5 = F.form("Delta4", n), F.form("Delta4", n).substitute_power(5)
     level3 = (i15, d15, i3, i3q5)
     level3_neg = (-i15, -d15, i3, i3q5)
     level4 = (th, thq5, p1.substitute_power(4) ** 5, p2.substitute_power(4) ** 5,

@@ -36,18 +36,18 @@ def test_eta_and_quotients():
 
 
 def test_level2_forms():
-    h2 = F.h2(5)
+    h2 = F.form("H2", 5)
     assert [h2.coefficient(k) for k in range(4)] == [1, 24, 24, 96]
-    d2 = F.delta2(5)
+    d2 = F.form("Delta2", 5)
     assert d2.leading() == (Q(1, 2), 1)
 
 
 def test_level3_and_4_forms():
-    assert F.i3(4).coefficient(0) == 1
-    assert F.delta3(4).leading()[0] == Q(1, 3)
-    th = F.theta(5)
+    assert F.form("I3", 4).coefficient(0) == 1
+    assert F.form("Delta3", 4).leading()[0] == Q(1, 3)
+    th = F.form("theta", 5)
     assert [th.coefficient(k) for k in range(5)] == [1, 2, 0, 0, 2]
-    assert F.delta4(4).leading()[0] == Q(1, 4)
+    assert F.form("Delta4", 4).leading()[0] == Q(1, 4)
 
 
 def test_level5_forms_integrality():
@@ -64,8 +64,41 @@ def test_level5_forms_integrality():
 
 
 def test_level15_forms():
-    assert F.i15(3).coefficient(0) == 1
-    assert F.delta15(3).leading()[0] == 1
+    assert F.form("I15", 3).coefficient(0) == 1
+    assert F.form("Delta15", 3).leading()[0] == 1
+
+
+#: name -> (weight, level) of every registry row
+WEIGHTS_AND_LEVELS = {
+    "E2": (2, 1), "E4": (4, 1), "E6": (6, 1), "E8": (8, 1), "eta": (Q(1, 2), 1),
+    "H2": (2, 2), "Delta2": (2, 2),
+    "I3": (1, 3), "Delta3": (1, 3),
+    "theta": (Q(1, 2), 4), "Delta4": (Q(1, 2), 4),
+    "psi1": (Q(1, 5), 5), "psi2": (Q(1, 5), 5),
+    "I15": (1, 15), "Delta15": (1, 15),
+}
+
+
+def test_registry_derives_weights_and_levels():
+    assert {name: (row.weight, row.level) for name, row in F.REGISTRY.items()} \
+        == WEIGHTS_AND_LEVELS
+    assert {name: (weight, level) for name, (_, weight, level) in F.FORM_TABLE.items()} \
+        == {name: wl for name, wl in WEIGHTS_AND_LEVELS.items() if wl[1] > 1}
+
+
+@pytest.mark.parametrize("order", [0, 3, 10])
+def test_forms_are_exact_past_order(order):
+    """Every form is exact at least order + 1 steps past its base, and an
+    eta quotient min(m) * (order + 1): Delta4 at order 10 reaches 22."""
+    for name, row in F.REGISTRY.items():
+        f = F.form(name, order)
+        steps = min(row.factors) if isinstance(row, F.EtaQuotient) else 1
+        assert f.truncation - f.base == steps * (order + 1), name
+
+
+def test_e8_is_a_formula_atom():
+    assert formula.evaluate("E8 - E4^2", formula.Series(12)).is_zero_to_truncation()
+    assert formula.evaluate("E8", formula.Weights()) == {8}
 
 
 def test_form_lookup():

@@ -6,15 +6,15 @@ equal the second truncated to the first's truncation, part by part for a
 log series.
 """
 
+from functools import partial
+
 import pytest
 
 from mldelab import catalog, characters, forms
 from mldelab.mlde import build_flat, frobenius_solve, frobenius_solve_log
 from mldelab.series import LogSeries, Q
 
-_NAMED = {name: builder for name, (builder, _, _) in forms.FORM_TABLE.items()}
-_NAMED.update(E2=forms.eisenstein_e2, E4=forms.eisenstein_e4, E6=forms.eisenstein_e6,
-              E8=forms.eisenstein_e8, eta=forms.eta)
+_NAMED = {name: partial(forms.form, name) for name in forms.REGISTRY}
 
 _SOLVES = {
     "plain 6/5 at -1/10": lambda n: frobenius_solve(build_flat(Q(6, 5), n), Q(-1, 10), n),

@@ -59,6 +59,18 @@ def test_pow_rational():
         bad.pow(Q(1, 2))
 
 
+def test_pow_of_vanishing_constant_term():
+    # the stored leading coefficient is 0: a positive integer power is the
+    # repeated product, and a fractional one has no unit to expand around
+    f = PuiseuxSeries.make(0, [0, 1, 2])
+    assert f.pow(1) == f
+    assert f.pow(3) == f * f * f
+    assert f.pow(Q(4)) == f * f * f * f
+    for r in (Q(1, 2), Q(-2, 3)):
+        with pytest.raises(NonUnitBase):
+            f.pow(r)
+
+
 def test_q_power_and_shift():
     m = PuiseuxSeries.q_power(Q(5, 3), 4)
     assert m.leading() == (Q(5, 3), 1)
