@@ -522,8 +522,13 @@ def verify_entry(label: str, order: Optional[int] = None) -> dict:
     return report
 
 
+def verify_section(section: str, order: Optional[int] = None) -> list[dict]:
+    """The reports of a section's entries, in catalog order."""
+    return [verify_entry(e.label, order) for e in SECTIONS[section]]
+
+
 def verify_all(order: Optional[int] = None) -> list[dict]:
-    return [verify_entry(label, order) for label in ENTRIES]
+    return [report for section in SECTIONS for report in verify_section(section, order)]
 
 
 # -- fundamental systems ----------------------------------------------

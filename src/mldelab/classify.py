@@ -127,13 +127,15 @@ def filter_candidates(case: CaseSpec, depth: Optional[int] = None) -> CandidateR
                            survivors_by_depth[depth])
 
 
+def case_values(case: CaseSpec) -> frozenset[Fraction]:
+    """One case's share of the classification: its filtered candidates and
+    its excluded linear root."""
+    return frozenset(filter_candidates(case).final) | {case.excluded_linear_root}
+
+
 def classify_all() -> tuple[Fraction, ...]:
-    """Union of the four filtered cases plus the excluded linear roots."""
-    values: set[Fraction] = set()
-    for case in CASES.values():
-        values.update(filter_candidates(case).final)
-        values.add(case.excluded_linear_root)
-    return tuple(sorted(values))
+    """Union of the four cases' values (``case_values``), sorted."""
+    return tuple(sorted(frozenset().union(*map(case_values, CASES.values()))))
 
 
 def strictly_modular_candidates() -> tuple[Fraction, ...]:

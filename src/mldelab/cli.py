@@ -16,7 +16,9 @@ a usage error, refused before the value is built.
 each entry at ``catalog.default_verification_order`` (25 or 40).  The
 other commands use order 50; ``characters --verify`` checks at that order
 too.  ``reproduce`` runs every check at its documented order and takes no
-``--order``.
+``--order``.  ``reproduce`` and ``catalog verify --all`` run their
+independent checks in two processes (one forked child); their output and
+exit codes are those of a run in one process.
 
 Only the commands with a table rendering take ``--format``: ``forms
 verify``, ``indicial``, ``classify``, ``catalog list``, ``catalog verify``
@@ -39,6 +41,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import catalog, characters, classify, forms, relations
 from .mlde import (InconsistentResonance, NoLogNeeded, NotIndicialRoot, Resonance,
@@ -58,7 +61,7 @@ EXIT_PIPE = 141
 RAT_ARG_CHARS = 100
 
 #: the largest --order or --depth; the slowest command there, `catalog
-#: verify --all`, takes about 9 minutes (README)
+#: verify --all`, takes about 10 minutes (README)
 MAX_ORDER = 1000
 
 
@@ -111,6 +114,68 @@ def _verdicts(reports: list[dict], fmt: str) -> int:
 
 def _set_notation(values) -> str:
     return "{" + ", ".join(rat_str(v) for v in sorted(values)) + "}"
+
+
+def _two_way(run, jobs: list) -> list:
+    """[run(job) for job in jobs], computed in two processes.
+
+    A forked child runs jobs[1::2] and sends its results back pickled
+    through a pipe, while this process runs jobs[0::2] and then reads the
+    pipe to its end.  An exception in the child's jobs is raised here with
+    the same type and arguments, after the child has exited.  If this
+    process's own jobs raise, or it is interrupted, it kills and reaps the
+    child before the exception propagates, so no child outlives the call;
+    if this process is killed, the child stops before its next job.  Where
+    fork fails, every job runs here."""
+    # imported here, so that importing the CLI costs what it did before
+    import pickle
+    import signal
+    import traceback
+
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return [run(job) for job in jobs]
+    if pid == 0:  # the child: never returns
+        try:
+            os.close(read_fd)
+            try:
+                theirs = []
+                for job in jobs[1::2]:
+                    if os.getppid() != parent:  # the parent was killed: stop
+                        os._exit(1)
+                    theirs.append(run(job))
+                data = pickle.dumps((None, theirs))
+            except BaseException as exc:
+                data = pickle.dumps(((type(exc), exc.args, traceback.format_exc()), None))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = [run(job) for job in jobs[0::2]]
+            data = pipe.read()
+        os.waitpid(pid, 0)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if not data:
+        raise ChildProcessError("the forked child exited without results")
+    error, theirs = pickle.loads(data)
+    if error:
+        kind, exc_args, child_traceback = error
+        raise kind.__new__(kind, *exc_args) from ChildProcessError(
+            f"raised in the forked child:\n{child_traceback}")
+    out = [None] * len(jobs)
+    out[0::2], out[1::2] = mine, theirs
+    return out
 
 
 # -- subcommands ------------------------------------------------------
@@ -217,7 +282,9 @@ def cmd_catalog(args) -> int:
             raise UsageError(f"no catalog entries at s = {rat_str(args.s)}")
         reports = [catalog.verify_entry(lb, args.order) for lb in labels]
     else:
-        reports = catalog.verify_all(args.order)
+        reports = [r for section in _two_way(partial(catalog.verify_section, order=args.order),
+                                             list(catalog.SECTIONS))
+                   for r in section]
     return _verdicts(reports, args.format)
 
 
@@ -247,28 +314,37 @@ def cmd_characters(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    groups = list(relations.GROUP_ORDERS)
+    cases = list(classify.CASES.values())
+    sections = list(catalog.SECTIONS)
+    names = ("A2", "G2", "D4", "F4", "E6", "E7", "E8")
+    jobs = ([partial(relations.verify_group, g) for g in groups]
+            + [partial(classify.case_values, c) for c in cases]
+            + [partial(catalog.verify_section, s) for s in sections]
+            + [partial(characters.verify_case, n, 25) for n in names])
+    results = iter(_two_way(lambda job: job(), jobs))
     report: dict = {}
     ok = True
 
-    rel = relations.verify_all()
+    rel = [r for _ in groups for r in next(results)]
     report["forms"] = {
         "reports": rel,
         "quarantined": sorted(relations.QUARANTINED_LABELS),
     }
     ok &= all(r["status"] != "failed" for r in rel)
 
-    final = classify.classify_all()
+    final = sorted(frozenset().union(*(next(results) for _ in cases)))
     report["classify"] = {"final": [rat_str(v) for v in final]}
     ok &= len(final) == 23
 
-    cat = catalog.verify_all()
+    cat = [r for _ in sections for r in next(results)]
     cat_bad = [r["label"] for r in cat if r["status"] == "failed"]
     report["catalog"] = {"reports": cat, "failed": cat_bad}
     ok &= not cat_bad
 
     chars = {}
-    for name in ("A2", "G2", "D4", "F4", "E6", "E7", "E8"):
-        rep = characters.verify_case(name, 25)
+    for name in names:
+        rep = next(results)
         chars[name] = {"verified": rep["status"] == "verified", "report": rep}
         ok &= chars[name]["verified"]
     report["characters"] = chars

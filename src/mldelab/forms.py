@@ -15,16 +15,16 @@ modular weight and level are read off that construction:
 - theta, built by its square sieve, is the one row that states its
   weight (1/2) and level (4).
 
-:func:`form` builds a row to a truncation `order`, once per (name, order);
-nothing is built at import.  A form is exact at least order + 1 integer
-q-steps past its leading exponent, and an eta quotient min(m) * (order + 1),
-as each eta(q^m) is.
+:func:`form` builds a row to a truncation `order`; nothing is built at
+import.  A form is exact ``row.steps * (order + 1)`` integer q-steps past
+its leading exponent: order + 1, and min(m) * (order + 1) for an eta
+quotient, as each eta(q^m) is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -77,6 +77,7 @@ class DivisorSum(NamedTuple):
     c: int
     p: int
     chi: tuple[int, ...] = (1,)
+    steps = 1
     weight = property(lambda row: Q(row.p + 1))
     level = property(lambda row: len(row.chi))
 
@@ -93,6 +94,7 @@ class EtaQuotient(NamedTuple):
     """prod_m eta(q^m)^e for factors {m: e}."""
 
     factors: dict[int, Fraction | int]
+    steps = property(lambda row: min(row.factors))
     weight = property(lambda row: Q(sum(row.factors.values()), 2))
     level = property(lambda row: lcm(*row.factors))
 
@@ -107,6 +109,7 @@ class Psi(NamedTuple):
     shift: Fraction
     residues: frozenset[int]
     eta = EtaQuotient({1: Q(2, 5)})
+    steps = 1
     weight = property(lambda row: row.eta.weight)
     level = property(lambda row: lcm(row.eta.level, _MODULUS))
 
@@ -117,6 +120,7 @@ class Psi(NamedTuple):
 class Theta(NamedTuple):
     """theta = sum over all integers n of q^(n^2)."""
 
+    steps = 1
     weight = Q(1, 2)
     level = 4
 
@@ -151,14 +155,22 @@ REGISTRY = {
 }
 
 
-@lru_cache(maxsize=None)
+#: name -> (order, series): each form as built at the highest order asked for
+_BUILT: dict[str, tuple[int, PuiseuxSeries]] = {}
+
+
 def form(name: str, order: int = DEFAULT_ORDER) -> PuiseuxSeries:
-    """The registry's form `name`, built to `order`."""
+    """The registry's form `name`, built to `order`: exact row.steps *
+    (order + 1) steps past its base.  Each form is built once per new
+    highest order, and a lower order is served by truncating that build."""
     try:
         row = REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown form {name!r}; known: {sorted(REGISTRY)}") from None
-    return row.build(order)
+    built, f = _BUILT.get(name, (-1, None))
+    if order > built:
+        built, f = _BUILT[name] = order, row.build(order)
+    return f if order == built else f.truncate(f.base + row.steps * (order + 1))
 
 
 #: name -> (builder, weight, level) for the ten catalogued forms, the

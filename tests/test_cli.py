@@ -2,15 +2,17 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mldelab import catalog, characters, cli
-from mldelab.series import series_from_json_dict
+from mldelab.series import InsufficientOrder, series_from_json_dict
 
 
 def run(capsys, *argv):
@@ -385,6 +387,112 @@ def test_reproduce_output_is_pinned(capsys):
     code, out = run(capsys, "reproduce")
     assert code == 0
     assert out == (Path(__file__).parent / "data" / "reproduce.json").read_text()
+    with pytest.raises(ChildProcessError):  # the forked child is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _with_pid(job):
+    return job, os.getpid()
+
+
+def test_two_way_returns_results_in_job_order():
+    out = cli._two_way(_with_pid, list(range(7)))
+    assert [job for job, _ in out] == list(range(7))
+    assert {pid for _, pid in out[0::2]} == {os.getpid()}
+    [child] = {pid for _, pid in out[1::2]}
+    assert child != os.getpid()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_way_carries_results_past_the_pipe_buffer():
+    out = cli._two_way(lambda j: bytes([j]) * 2**20, [0, 1, 2, 3])
+    assert out == [bytes([j]) * 2**20 for j in range(4)]
+
+
+def test_two_way_raises_a_child_error_in_the_parent():
+    def job(j):
+        if j == 1:  # jobs[1::2] run in the child
+            raise InsufficientOrder("B.a.f0: built to q^3, requested through q^4")
+        return j
+
+    with pytest.raises(InsufficientOrder) as info:
+        cli._two_way(job, [0, 1, 2])
+    assert type(info.value) is InsufficientOrder
+    assert str(info.value) == "B.a.f0: built to q^3, requested through q^4"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_error_keeps_its_exit_code(monkeypatch, capsys):
+    # B.b is the second section, so the forked child verifies it
+    verify = catalog.verify_entry
+
+    def short(label, order=None):
+        if label.startswith("B.b."):
+            raise InsufficientOrder(f"{label}: too short")
+        return verify(label, order)
+
+    monkeypatch.setattr(catalog, "verify_entry", short)
+    assert cli.main(["catalog", "verify", "--all"]) == cli.EXIT_ORDER
+    assert capsys.readouterr().err == "insufficient order: B.b.f-8/15: too short\n"
+
+
+def test_two_way_kills_the_child_when_a_parent_job_raises(monkeypatch):
+    children, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def job(j):
+        if j == 0:
+            raise ValueError("parent job")
+        time.sleep(60)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    with pytest.raises(ValueError, match="parent job"):
+        cli._two_way(job, [0, 1])
+    [pid] = children
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_two_way_child_stops_once_its_parent_is_killed(tmp_path):
+    # each child job logs a line; after SIGKILL ends the parent, the child
+    # finishes the job it is in and starts no other
+    log = tmp_path / "child-jobs"
+    script = f"""
+import os, signal, time
+from mldelab import cli
+
+def job(j):
+    if j == 0:
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+    with open({str(log)!r}, "a") as fh:
+        fh.write("job\\n")
+    time.sleep(0.2)
+
+cli._two_way(job, list(range(100)))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
+    assert done.returncode == -signal.SIGKILL
+    time.sleep(0.5)
+    logged = log.read_text()
+    time.sleep(1)
+    assert log.read_text() == logged
+
+
+def test_two_way_runs_in_process_without_fork(monkeypatch):
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli._two_way(_with_pid, list(range(5))) == [(j, os.getpid()) for j in range(5)]
 
 
 CHARACTER_DIGESTS = json.loads(

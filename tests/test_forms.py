@@ -96,6 +96,31 @@ def test_forms_are_exact_past_order(order):
         assert f.truncation - f.base == steps * (order + 1), name
 
 
+@pytest.mark.parametrize("built, asked", [(0, 0), (1, 0), (12, 5), (30, 0), (41, 40), (60, 25)])
+def test_lower_order_form_is_the_highest_build_cut(monkeypatch, built, asked):
+    """A form asked for below the highest order built so far is that build
+    truncated, and equals a direct build at the lower order."""
+    monkeypatch.setattr(F, "_BUILT", {})
+    for name, row in F.REGISTRY.items():
+        F.form(name, built)
+        assert F.form(name, asked) == row.build(asked), name
+
+
+def test_lower_order_form_builds_nothing(monkeypatch):
+    monkeypatch.setattr(F, "_BUILT", {})
+    for name in F.REGISTRY:
+        F.form(name, 20)
+
+    def refuse(row, order):
+        raise AssertionError(f"built {row} at {order}")
+
+    for kind in (F.DivisorSum, F.EtaQuotient, F.Psi, F.Theta):
+        monkeypatch.setattr(kind, "build", refuse)
+    for name in F.REGISTRY:
+        for order in (20, 7, 0):
+            F.form(name, order)
+
+
 def test_e8_is_a_formula_atom():
     assert formula.evaluate("E8 - E4^2", formula.Series(12)).is_zero_to_truncation()
     assert formula.evaluate("E8", formula.Weights()) == {8}
